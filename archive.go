@@ -38,28 +38,28 @@ var (
 	ErrFieldDims     = errors.New("szx: dims product does not match data length")
 )
 
-// ArchiveWriter accumulates compressed fields. Compression stages through
-// one reused scratch buffer (each stored payload is then an exact-size
-// copy), so adding many fields allocates no growth slack per field.
+// ArchiveWriter accumulates compressed fields. Each field compresses into
+// a pooled staging buffer and is stored as an exact-size copy, so adding
+// many fields allocates no growth slack per field.
 //
-// A pipelined writer (NewPipelinedArchiveWriter) compresses fields
-// concurrently: AddField returns as soon as the field is enqueued, up to
-// the configured number of compressions run in flight, and Bytes/WriteTo/
-// Flush wait for all of them. TOC order stays the Add order either way.
+// With one worker (NewArchiveWriter) AddField compresses on the caller's
+// goroutine and returns its error directly. With more
+// (NewPipelinedArchiveWriter) fields compress concurrently: AddField
+// returns as soon as the field is enqueued, up to the configured number
+// of compressions run in flight, and Bytes/WriteTo/Flush wait for all of
+// them. TOC order stays the Add order either way, and the first
+// compression error is pinned.
 type ArchiveWriter struct {
-	opt     Options
-	names   map[string]bool
-	fields  []*archiveField
-	scratch []byte // serial-path compressed staging, reused across fields
+	opt    Options
+	names  map[string]bool
+	fields []*archiveField
 
-	// Pipelined mode (par > 0): sem bounds in-flight compressions, pool
-	// recycles per-worker staging buffers, firstErr pins the first failure.
-	par      int
-	sem      chan struct{}
+	par      int           // compression workers; 1 = inline
+	sem      chan struct{} // bounds in-flight compressions
 	wg       sync.WaitGroup
 	mu       sync.Mutex
 	firstErr error
-	pool     sync.Pool
+	pool     sync.Pool // staging buffers
 }
 
 type archiveField struct {
@@ -69,11 +69,12 @@ type archiveField struct {
 }
 
 // NewArchiveWriter returns a writer that compresses every added field with
-// the given options. With opt.TargetRatio set, each field resolves its own
+// the given options on the caller's goroutine (NewPipelinedArchiveWriter
+// with one worker). With opt.TargetRatio set, each field resolves its own
 // error bound against its own data — a per-field ratio budget — and the
 // resolved bound is reported back through FieldInfo.ErrBound on read.
 func NewArchiveWriter(opt Options) *ArchiveWriter {
-	return &ArchiveWriter{opt: opt, names: make(map[string]bool)}
+	return NewPipelinedArchiveWriter(opt, 1)
 }
 
 // NewPipelinedArchiveWriter returns a writer that compresses added fields
@@ -83,7 +84,8 @@ func NewArchiveWriter(opt Options) *ArchiveWriter {
 // compressed payloads staging at once). The caller must keep each field's
 // data slice unmodified until Flush, Bytes, or WriteTo returns; the first
 // compression error is pinned and reported by those calls and by
-// subsequent AddField calls.
+// subsequent AddField calls. One worker compresses inline, starting no
+// goroutines.
 func NewPipelinedArchiveWriter(opt Options, workers int) *ArchiveWriter {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -137,66 +139,59 @@ func (aw *ArchiveWriter) add(name string, dims []int, n int, compress func(dst [
 	if len(dims) == 0 || p != n {
 		return ErrFieldDims
 	}
-	f := &archiveField{name: name, dims: append([]int(nil), dims...)}
-	if aw.par > 0 {
-		if err := aw.Err(); err != nil {
-			return err
-		}
-		aw.names[name] = true
-		aw.fields = append(aw.fields, f) // field order = Add order; payload lands later
-		aw.sem <- struct{}{}             // backpressure: at most par compressions in flight
-		aw.wg.Add(1)
-		go func() {
-			defer aw.wg.Done()
-			defer func() { <-aw.sem }()
-			var scratch []byte
-			if s, ok := aw.pool.Get().(*[]byte); ok {
-				scratch = *s
-			}
-			comp, err := compress(scratch[:0])
-			if err != nil {
-				aw.mu.Lock()
-				if aw.firstErr == nil {
-					aw.firstErr = fmt.Errorf("szx: archive field %q: %w", f.name, err)
-				}
-				aw.mu.Unlock()
-				return
-			}
-			f.payload = append(make([]byte, 0, len(comp)), comp...)
-			aw.pool.Put(&comp)
-			if telemetry.Enabled() {
-				telemetry.ArchiveFieldsWritten.Inc()
-			}
-		}()
-		return nil
-	}
-	// Serial path: compress into the shared scratch, then store an
-	// exact-size copy so payloads carry no append growth slack.
-	comp, err := compress(aw.scratch[:0])
-	if err != nil {
+	if err := aw.Err(); err != nil {
 		return err
 	}
-	aw.scratch = comp
-	f.payload = append(make([]byte, 0, len(comp)), comp...)
+	f := &archiveField{name: name, dims: append([]int(nil), dims...)}
 	aw.names[name] = true
-	aw.fields = append(aw.fields, f)
-	if telemetry.Enabled() {
-		telemetry.ArchiveFieldsWritten.Inc()
+	aw.fields = append(aw.fields, f) // field order = Add order; payload lands later
+	if aw.par == 1 {
+		aw.compress(f, compress)
+		return aw.Err()
 	}
+	aw.sem <- struct{}{} // backpressure: at most par compressions in flight
+	aw.wg.Add(1)
+	go func() {
+		defer aw.wg.Done()
+		defer func() { <-aw.sem }()
+		aw.compress(f, compress)
+	}()
 	return nil
 }
 
-// Err returns the first in-flight compression error recorded so far
-// (always nil for serial writers; Flush is the synchronizing read).
+// compress fills f's payload with an exact-size copy of the compressed
+// field, or pins the failure.
+func (aw *ArchiveWriter) compress(f *archiveField, compress func(dst []byte) ([]byte, error)) {
+	var scratch []byte
+	if s, ok := aw.pool.Get().(*[]byte); ok {
+		scratch = *s
+	}
+	comp, err := compress(scratch[:0])
+	if err != nil {
+		aw.mu.Lock()
+		if aw.firstErr == nil {
+			aw.firstErr = fmt.Errorf("szx: archive field %q: %w", f.name, err)
+		}
+		aw.mu.Unlock()
+		return
+	}
+	f.payload = append(make([]byte, 0, len(comp)), comp...)
+	aw.pool.Put(&comp)
+	if telemetry.Enabled() {
+		telemetry.ArchiveFieldsWritten.Inc()
+	}
+}
+
+// Err returns the first compression error recorded so far (Flush is the
+// synchronizing read for in-flight compressions).
 func (aw *ArchiveWriter) Err() error {
 	aw.mu.Lock()
 	defer aw.mu.Unlock()
 	return aw.firstErr
 }
 
-// Flush waits for every in-flight field compression of a pipelined writer
-// and returns the first error any of them hit. On a serial writer it
-// returns nil immediately.
+// Flush waits for every in-flight field compression and returns the first
+// error any field hit.
 func (aw *ArchiveWriter) Flush() error {
 	aw.wg.Wait()
 	return aw.Err()

@@ -48,7 +48,6 @@ func main() {
 		kernel    = flag.String("kernel", "", "run the per-kernel generic-vs-dispatched sweep and write JSON snapshot to this file ('-' = stdout)")
 		benchtime = flag.Duration("benchtime", 2*time.Second, "per-benchmark target time in -hotpath/-obs mode")
 		obs       = flag.String("obs", "", "run telemetry-overhead A/B benchmarks and write JSON snapshot to this file ('-' = stdout)")
-		stream    = flag.String("stream", "", "run streaming dump/load A/B (serial vs pipelined) and write JSON snapshot to this file ('-' = stdout)")
 		ratioOut  = flag.String("ratio", "", "run the fixed-ratio bound-search sweep and write JSON snapshot to this file ('-' = stdout)")
 		serve     = flag.String("serve", "", "run the szxd service load generator (1/8/64 clients) and write JSON snapshot to this file ('-' = stdout)")
 		clusterOut   = flag.String("cluster", "", "run the cluster routing sweep (1 vs 3 nodes, hash/least-loaded/hedged) and write JSON snapshot to this file ('-' = stdout)")
@@ -84,13 +83,6 @@ func main() {
 	}
 	if *clusterOut != "" {
 		if err := runCluster(*clusterOut, *clusterNodes, *benchtime); err != nil {
-			fmt.Fprintf(os.Stderr, "szxbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *stream != "" {
-		if err := runStream(*stream, *benchtime); err != nil {
 			fmt.Fprintf(os.Stderr, "szxbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -331,3 +331,21 @@ func runServeLevel(base string, data []float32, clients int, benchtime time.Dura
 		P99Ms:    math.Round(pct(0.99)*100) / 100,
 	}, nil
 }
+
+// measureRate times fn over enough repetitions to cover ~300ms and returns
+// the observed bytes/sec.
+func measureRate(fn func() error, nBytes int64) float64 {
+	// Warm up once so one-time allocations don't skew the rate.
+	_ = fn()
+	var reps int
+	start := time.Now()
+	for time.Since(start) < 300*time.Millisecond {
+		_ = fn()
+		reps++
+	}
+	elapsed := time.Since(start)
+	if reps == 0 || elapsed <= 0 {
+		return 1e9
+	}
+	return float64(nBytes) * float64(reps) / elapsed.Seconds()
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -36,6 +37,39 @@ func FuzzStreamReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		r := NewReader(bytes.NewReader(blob))
 		_, _ = r.ReadAll()
+	})
+}
+
+// FuzzTimeStreamReader feeds arbitrary bytes to the SZXT reader and to a
+// TimeDecompressor primed with a valid key frame: neither may panic, and
+// every reader failure other than a clean EOF must wrap ErrTimeStream.
+// The committed corpus holds a valid 3-frame stream, a truncated one, and
+// one whose second frame is a keyframe fallback.
+func FuzzTimeStreamReader(f *testing.F) {
+	key, err := Compress(testField(64, 4), Options{ErrorBound: 1e-3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		tr := NewTimeStreamReader(bytes.NewReader(blob))
+		defer tr.Close()
+		for {
+			_, err := tr.ReadFrame()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				if !errors.Is(err, ErrTimeStream) {
+					t.Fatalf("error %v does not wrap ErrTimeStream", err)
+				}
+				break
+			}
+		}
+		td := NewTimeDecompressor()
+		if _, err := td.DecompressFrame(key); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = td.DecompressFrame(blob)
 	})
 }
 

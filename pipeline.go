@@ -2,9 +2,7 @@ package szx
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -14,45 +12,47 @@ import (
 	"repro/telemetry/trace"
 )
 
-// Pipelined streaming engine: the concurrent counterpart of Writer and
-// Reader. The serial stream path compresses a chunk, then writes it, then
-// starts the next chunk — on any real file or socket the CPU idles during
-// I/O and the I/O idles during compression. PipeWriter and PipeReader
-// overlap the two ends to end: a bounded ring of K chunk slots circulates
-// between the producer, a pool of compression (or decompression) workers,
-// and a single in-order emitter, so up to K frames are in flight while the
-// wire format stays byte-identical to the serial Writer's (same container
-// magic, same per-chunk frames, same terminator — pinned by golden-hash
-// and fuzz cross-check tests).
+// Ordered frame engine: the one loop under both streaming containers
+// (SZXS here, SZXT in timestream.go). Frames are staged — compressed or
+// decoded — independently and leave the engine strictly in stream order;
+// the first error anywhere (staging, I/O, a malformed frame) is pinned and
+// returned from every later call.
 //
-// Ordering invariant: slots enter the emit queue in submission order, and
-// the emitter (or the reading consumer) waits on each slot's done signal
-// before touching the next, so frames hit the wire — and values reach the
-// caller — strictly in order no matter which worker finishes first.
+// Inline mode (one worker): the caller's goroutine stages each frame and
+// does the I/O itself. No goroutines, channels or ring slots are used,
+// and there is no compute/I/O overlap; callers that want overlap pass
+// parallelism ≥ 2.
 //
-// Backpressure invariant: the producer blocks when all K slots are in
-// flight, so memory is bounded by K × chunk on both the value and the
-// compressed side; slots are recycled through a free list, so the steady
-// state allocates nothing.
+// Ring mode: a bounded ring of slots circulates between a producer, an
+// optional pool of stage workers, and a single in-order consumer. On the
+// write side the producer is the caller and the consumer an emitter
+// goroutine; on the read side the producer is a prefetcher goroutine and
+// the consumer the caller. With workers the stage runs on them; without
+// (SZXT, whose temporal transform is inherently sequential) it runs in
+// frame order on the caller's side and the ring only overlaps the I/O.
 //
-// Error semantics: the first error (compression, decompression, I/O, or a
-// malformed frame) wins; it is pinned and returned from every subsequent
-// call. After an error the pipeline keeps draining internally so no
-// goroutine leaks and no channel send deadlocks; Close joins every
-// goroutine before returning.
+// Ordering invariant: slots enter the order queue in stream order, and
+// the consumer waits on each slot's done signal before touching the next,
+// so frames hit the wire — and values reach the caller — in order no
+// matter which worker finishes first.
+//
+// Backpressure invariant: the producer blocks while every slot is in
+// flight, so memory is bounded by depth × (chunk + frame) on both sides;
+// slots are recycled through a free list, so the steady state allocates
+// nothing. Each queue holds depth slots, so no send into one ever blocks,
+// and shutdown only has to wait for the goroutines, never drain a queue.
 
 // errStreamAborted is pinned as the terminal error by PipeWriter.Abort.
 var errStreamAborted = errors.New("szx: stream aborted")
 
-// pipeSlot is one ring entry carrying a chunk through the pipeline.
+// pipeSlot is one ring entry carrying a frame through the engine.
 type pipeSlot struct {
-	seq   int       // submission sequence (write side)
-	idx   int       // frame index (read side)
+	seq   int       // frame index in stream order
 	off   int64     // container offset of the frame's length prefix (read side)
-	t0    time.Time // slot acquisition time, for pipe_frame trace spans
+	t0    time.Time // when the frame entered the engine, for pipe_frame trace spans
 	vals  []float32 // chunk values (input on write, output on read)
 	frame []byte    // staged frame bytes (output on write, input on read)
-	err   error     // worker/prefetch failure for this slot
+	err   error     // staging failure; on the read side also the EOF or container error that ends the stream
 	done  chan struct{}
 }
 
@@ -76,50 +76,417 @@ func (p *pipeErr) get() error {
 	return p.err
 }
 
-// pipelineDepth picks the ring size for a worker count: one slot per
-// worker keeps the pool busy, and two extra keep the producer and emitter
-// from starving the pool at hand-off points.
-func pipelineDepth(workers int) int { return workers + 2 }
+// ringShape maps a parallelism (≤0 = GOMAXPROCS) to a ring depth and
+// worker count. One worker is inline mode: no ring at all. Otherwise one
+// slot per worker keeps the pool busy, and two extra keep the producer and
+// consumer from starving it at hand-off points.
+func ringShape(parallelism int) (depth, workers int) {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	if parallelism == 1 {
+		return 0, 0
+	}
+	return parallelism + 2, parallelism
+}
 
-// PipeWriter is the pipelined counterpart of Writer: it compresses a
-// stream of float32 values chunk by chunk with a pool of workers while a
-// single emitter goroutine writes the frames strictly in order, producing
-// bytes identical to the serial Writer's.
-//
-// A PipeWriter is not safe for concurrent use (like Writer); the
-// concurrency is internal. Close must be called to flush the tail chunk,
-// write the terminator, and join the worker goroutines.
-type PipeWriter struct {
-	w     io.Writer
-	opt   Options
-	chunk int
-	depth int
+// ring is the bounded slot ring of ring mode.
+type ring struct {
+	free  chan *pipeSlot // idle slots; the producer blocks here when all are in flight
+	work  chan *pipeSlot // slots awaiting a stage worker; nil without workers
+	order chan *pipeSlot // slots in stream order, for the single consumer
+	wg    sync.WaitGroup // stage workers plus the owner's emitter or prefetcher
+}
 
-	ctx     context.Context
-	ctxDone <-chan struct{} // nil without a context; a nil channel never fires
-	tr      *trace.Trace   // request trace from ctx; nil = untraced
+func newRing(depth, workers int, stage func(*pipeSlot)) *ring {
+	r := &ring{free: make(chan *pipeSlot, depth), order: make(chan *pipeSlot, depth)}
+	for i := 0; i < depth; i++ {
+		r.free <- &pipeSlot{}
+	}
+	if workers > 0 {
+		r.work = make(chan *pipeSlot, depth)
+		for i := 0; i < workers; i++ {
+			r.spawn(func() {
+				for s := range r.work {
+					stage(s)
+					close(s.done)
+				}
+			})
+		}
+	}
+	if telemetry.Enabled() {
+		telemetry.PipelineStarts.Inc()
+		telemetry.PipelineDepths.Observe(int64(depth))
+	}
+	return r
+}
 
-	free chan *pipeSlot
-	work chan *pipeSlot
-	emit chan *pipeSlot
+// async reports whether stages run on ring workers. Without workers — or
+// without a ring (inline mode) — the stage runs in frame order on the
+// caller's side.
+func (r *ring) async() bool { return r != nil && r.work != nil }
 
-	wg       sync.WaitGroup // compression workers
-	emitDone chan struct{}
+func (r *ring) spawn(fn func()) {
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		fn()
+	}()
+}
 
-	buf    []float32
-	seq    int
-	ratio  streamRatio // seeded on the producer goroutine before chunk 0 is handed off
+// acquire takes a free slot, blocking while every slot is in flight (the
+// backpressure bound); it returns nil if stop or cancel fires first.
+func (r *ring) acquire(stop, cancel <-chan struct{}) *pipeSlot {
+	obs := telemetry.Enabled()
+	var t telemetry.Timer
+	if obs {
+		t = telemetry.Start()
+	}
+	select {
+	case s := <-r.free:
+		if obs {
+			t.Stop(&telemetry.PipelineProducerStalls)
+			telemetry.PipelineFramesInFlight.Observe(int64(cap(r.free) - len(r.free)))
+		}
+		return s
+	case <-stop:
+	case <-cancel:
+	}
+	return nil
+}
+
+// push hands a filled slot to the workers, if any, and to the consumer.
+func (r *ring) push(s *pipeSlot) {
+	s.done = make(chan struct{})
+	r.order <- s
+	if r.work != nil {
+		r.work <- s
+	} else {
+		close(s.done)
+	}
+}
+
+// finish tells the workers and the consumer that no more slots come; the
+// producer calls it once, after its last push.
+func (r *ring) finish() {
+	if r.work != nil {
+		close(r.work)
+	}
+	close(r.order)
+}
+
+// pop returns the next slot in stream order once its stage is done; ok is
+// false after finish or if cancel fires first. Every pushed slot's done
+// signal is closed by a worker or by push itself, so the done wait needs
+// no cancellation case of its own.
+func (r *ring) pop(cancel <-chan struct{}) (s *pipeSlot, ok bool) {
+	obs := telemetry.Enabled()
+	var t telemetry.Timer
+	if obs {
+		t = telemetry.Start()
+	}
+	select {
+	case s, ok = <-r.order:
+		if ok {
+			<-s.done
+		}
+	case <-cancel:
+	}
+	if obs {
+		t.Stop(&telemetry.PipelineConsumerStalls)
+	}
+	return s, ok
+}
+
+// frameSink is the write half of the engine: frames submitted in stream
+// order reach w in that order, each as exactly one Write.
+type frameSink struct {
+	w      io.Writer
+	f      *frameFormat
+	ctx    context.Context
+	tr     *trace.Trace            // request trace from ctx; nil = untraced
+	build  func(s *pipeSlot) error // stages s.frame (for frame s.seq) from s.vals
+	ring   *ring                   // nil in inline mode
+	inl    pipeSlot                // inline mode's only frame
+	n      int                     // frames submitted
 	perr   pipeErr
 	closed bool
 }
 
-// NewPipeWriter returns a pipelined streaming compressor writing to w.
-// ChunkValues controls the chunk granularity (0 = DefaultChunkValues) and
-// parallelism the number of concurrent chunk compressions (≤0 =
-// GOMAXPROCS); parallelism+2 frames are kept in flight, bounding memory at
-// roughly (parallelism+2) × chunk values plus their compressed frames.
-// Each chunk is compressed with the serial per-chunk engine — the pipeline
-// itself is the parallelism — so opt.Workers is ignored.
+// init configures the sink; depth 0 selects inline mode.
+func (fs *frameSink) init(ctx context.Context, w io.Writer, f *frameFormat, build func(*pipeSlot) error, depth, workers int) {
+	fs.w, fs.f, fs.ctx, fs.tr, fs.build = w, f, ctx, trace.FromContext(ctx), build
+	if depth > 0 {
+		fs.ring = newRing(depth, workers, fs.stage)
+		fs.ring.spawn(fs.emitter)
+	}
+}
+
+func (fs *frameSink) stage(s *pipeSlot) { s.err = fs.build(s) }
+
+func (fs *frameSink) emitter() {
+	for {
+		s, ok := fs.ring.pop(nil)
+		if !ok {
+			return
+		}
+		fs.emit(s)
+		fs.ring.free <- s
+	}
+}
+
+// emit writes one staged frame, or pins its failure. After the first
+// error frames are dropped, so the container stays a readable prefix.
+func (fs *frameSink) emit(s *pipeSlot) {
+	switch {
+	case s.err != nil:
+		fs.perr.set(s.err)
+	case fs.perr.get() == nil:
+		if _, err := fs.w.Write(s.frame); err != nil {
+			fs.perr.set(err)
+		} else if telemetry.Enabled() {
+			telemetry.StreamFramesWritten.Inc()
+		}
+	}
+	if fs.tr != nil {
+		fs.tr.RecordSpan("pipe_frame", s.t0, time.Now())
+	}
+}
+
+// err pins ctx's error once it is cancelled and returns the pinned error.
+func (fs *frameSink) err() error {
+	if err := fs.ctx.Err(); err != nil {
+		fs.perr.set(err)
+	}
+	return fs.perr.get()
+}
+
+// writable returns the error a write call must report up front.
+func (fs *frameSink) writable() error {
+	if err := fs.err(); err != nil {
+		return err
+	}
+	if fs.closed {
+		return errors.New("szx: write after Close")
+	}
+	return nil
+}
+
+// submit stages vals as the next frame and hands it on in stream order,
+// blocking while the ring is full; a context cancellation wakes it, pins
+// the error, and drops the frame. Ring workers stage a copy, since the
+// caller may reuse vals once submit returns; otherwise the stage runs
+// here, reading vals in place, and its error is pinned before submit
+// returns.
+func (fs *frameSink) submit(vals []float32) {
+	s := &fs.inl
+	if fs.ring != nil {
+		if s = fs.ring.acquire(nil, fs.ctx.Done()); s == nil {
+			fs.perr.set(fs.ctx.Err())
+			return
+		}
+	}
+	s.seq, s.err = fs.n, nil
+	fs.n++
+	if fs.tr != nil {
+		s.t0 = time.Now()
+	}
+	if fs.ring.async() {
+		s.vals = append(s.vals[:0], vals...)
+		fs.ring.push(s)
+		return
+	}
+	s.vals = vals
+	fs.stage(s)
+	s.vals = nil
+	if s.err != nil {
+		fs.perr.set(s.err)
+	}
+	if fs.ring == nil {
+		fs.emit(s)
+	} else {
+		fs.ring.push(s)
+	}
+}
+
+// shutdown stops accepting frames and joins the emitter and workers once
+// they have drained what is in flight.
+func (fs *frameSink) shutdown() {
+	fs.closed = true
+	if fs.ring != nil {
+		fs.ring.finish()
+		fs.ring.wg.Wait()
+	}
+}
+
+// close shuts down and, if the stream is healthy, writes the terminator.
+// A second close returns the pinned error.
+func (fs *frameSink) close() error {
+	if fs.closed {
+		return fs.perr.get()
+	}
+	fs.shutdown()
+	if err := fs.err(); err != nil {
+		return err
+	}
+	if _, err := fs.w.Write(fs.f.appendEnd(fs.inl.frame[:0], fs.n == 0)); err != nil {
+		fs.perr.set(err)
+		return err
+	}
+	return nil
+}
+
+// frameSource is the read half of the engine: frames leave in container
+// order, decoded.
+type frameSource struct {
+	fr     frameReader
+	ctx    context.Context
+	tr     *trace.Trace            // request trace from ctx; nil = untraced
+	decode func(s *pipeSlot) error // fills s.vals from s.frame
+	ring   *ring                   // nil in inline mode
+	stop   chan struct{}           // closed by close to stop the prefetcher
+	inl    pipeSlot                // inline mode's only frame
+	cur    *pipeSlot               // slot returned by the last next
+	err    error                   // pinned terminal error (io.EOF at the terminator)
+	closed bool
+}
+
+// init configures the source; depth 0 selects inline mode.
+func (src *frameSource) init(ctx context.Context, r io.Reader, f *frameFormat, decode func(*pipeSlot) error, depth, workers int) {
+	src.fr = frameReader{r: r, f: f}
+	src.ctx, src.tr, src.decode = ctx, trace.FromContext(ctx), decode
+	if depth > 0 {
+		src.ring = newRing(depth, workers, src.stage)
+		src.stop = make(chan struct{})
+		src.ring.spawn(src.prefetch)
+	}
+}
+
+// stage decodes a slot in place, wrapping a failure with the frame's
+// position; slots that already carry an error pass through.
+func (src *frameSource) stage(s *pipeSlot) {
+	if s.err == nil {
+		if err := src.decode(s); err != nil {
+			s.err = src.fr.f.frameErr(s.seq, s.off, err)
+		}
+	}
+}
+
+func (src *frameSource) read(s *pipeSlot) {
+	if src.tr != nil {
+		s.t0 = time.Now()
+	}
+	s.frame, s.seq, s.off, s.err = src.fr.next(s.frame[:0])
+}
+
+// prefetch reads frames ahead into ring slots. The terminator or a
+// container failure travels as a final slot, so the consumer sees it in
+// order; only stop or a cancelled context end the loop without one.
+func (src *frameSource) prefetch() {
+	defer src.ring.finish()
+	for {
+		s := src.ring.acquire(src.stop, src.ctx.Done())
+		if s == nil {
+			return
+		}
+		src.read(s)
+		last := s.err != nil // s belongs to the consumer once pushed
+		src.ring.push(s)
+		if last {
+			return
+		}
+	}
+}
+
+// next returns the next decoded frame in stream order, recycling the one
+// returned before. Its error is pinned: once next fails it fails the same
+// way forever. Container failures are counted here, where they surface.
+func (src *frameSource) next() (*pipeSlot, error) {
+	if src.err != nil {
+		return nil, src.err
+	}
+	if err := src.ctx.Err(); err != nil {
+		src.err = err
+		return nil, err
+	}
+	if s := src.cur; s != nil {
+		if src.tr != nil {
+			src.tr.RecordSpan("pipe_frame", s.t0, time.Now())
+		}
+		if src.ring != nil {
+			src.ring.free <- s
+		}
+		src.cur = nil
+	}
+	s := &src.inl
+	if src.ring == nil {
+		src.read(s)
+	} else {
+		var ok bool
+		if s, ok = src.ring.pop(src.ctx.Done()); !ok {
+			// Only a cancelled context stops the prefetcher before the
+			// consumer has seen a final slot.
+			src.err = src.ctx.Err()
+			return nil, src.err
+		}
+	}
+	if !src.ring.async() {
+		src.stage(s)
+	}
+	if s.err != nil {
+		if s.err != io.EOF {
+			telemetry.StreamFrameErrors.Inc()
+		}
+		src.err = s.err
+		return nil, s.err
+	}
+	src.cur = s
+	if telemetry.Enabled() {
+		telemetry.StreamFramesRead.Inc()
+	}
+	return s, nil
+}
+
+// close stops the prefetcher and joins every goroutine; later reads fail.
+func (src *frameSource) close() {
+	if src.closed {
+		return
+	}
+	src.closed = true
+	if src.ring != nil {
+		close(src.stop)
+		src.ring.wg.Wait()
+	}
+	if src.err == nil {
+		src.err = errors.New("szx: read after Close")
+	}
+}
+
+// PipeWriter compresses a stream of float32 values chunk by chunk into an
+// SZXS container. With one worker it compresses and writes each chunk on
+// the caller's goroutine; with more, a pool of workers compresses chunks
+// concurrently while a single emitter goroutine writes the frames strictly
+// in order. The bytes do not depend on the parallelism.
+//
+// A PipeWriter is not safe for concurrent use; any concurrency is
+// internal. Close must be called to flush the tail chunk, write the
+// terminator, and join the goroutines.
+type PipeWriter struct {
+	out   frameSink
+	opt   Options
+	chunk int
+	buf   []float32
+	ratio streamRatio // seeded on the producer goroutine before chunk 0 is staged
+}
+
+// NewPipeWriter returns a streaming compressor writing to w. ChunkValues
+// controls the chunk granularity (0 = DefaultChunkValues) and parallelism
+// the number of concurrent chunk compressions (≤0 = GOMAXPROCS). One
+// worker starts no goroutines and overlaps nothing; more keep
+// parallelism+2 frames in flight, bounding memory at roughly
+// (parallelism+2) × chunk values plus their compressed frames. Each chunk
+// is compressed with the serial per-chunk engine — the pipeline itself is
+// the parallelism — so opt.Workers is ignored.
 func NewPipeWriter(w io.Writer, opt Options, chunkValues, parallelism int) *PipeWriter {
 	return NewPipeWriterContext(context.Background(), w, opt, chunkValues, parallelism)
 }
@@ -132,201 +499,76 @@ func NewPipeWriter(w io.Writer, opt Options, chunkValues, parallelism int) *Pipe
 // thread an HTTP request context through the pipeline so an abandoned
 // request cannot strand its handler. Close must still be called to join
 // the goroutines; cancellation only guarantees the calls unblock promptly.
-// The emitter can stay blocked in w.Write until the sink itself unblocks —
-// hand the pipeline a sink that fails on cancellation (HTTP response
-// writers do).
+// A write to w itself can stay blocked until the sink unblocks — hand the
+// pipeline a sink that fails on cancellation (HTTP response writers do).
 func NewPipeWriterContext(ctx context.Context, w io.Writer, opt Options, chunkValues, parallelism int) *PipeWriter {
 	if chunkValues <= 0 {
 		chunkValues = DefaultChunkValues
 	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	depth := pipelineDepth(parallelism)
-	pw := &PipeWriter{
-		w:        w,
-		opt:      opt,
-		chunk:    chunkValues,
-		depth:    depth,
-		ctx:      ctx,
-		ctxDone:  ctx.Done(),
-		tr:       trace.FromContext(ctx),
-		free:     make(chan *pipeSlot, depth),
-		work:     make(chan *pipeSlot, depth),
-		emit:     make(chan *pipeSlot, depth),
-		emitDone: make(chan struct{}),
-	}
+	pw := &PipeWriter{opt: opt, chunk: chunkValues}
 	pw.opt.Workers = WorkersSerial
-	// Per-chunk encodes run on pool workers; letting each record codec-stage
-	// spans would flood the trace with overlapping intervals. The pipeline's
-	// trace story is the per-frame slot occupancy recorded by the emitter.
+	// Per-chunk encodes may run on pool workers; letting each record
+	// codec-stage spans would flood the trace with overlapping intervals.
+	// The engine's trace story is one pipe_frame span per frame.
 	pw.opt.Spans = nil
-	for i := 0; i < depth; i++ {
-		pw.free <- &pipeSlot{}
-	}
-	pw.wg.Add(parallelism)
-	for i := 0; i < parallelism; i++ {
-		go pw.worker()
-	}
-	go pw.emitter()
-	if telemetry.Enabled() {
-		telemetry.PipelineStarts.Inc()
-		telemetry.PipelineDepths.Observe(int64(depth))
-	}
+	depth, workers := ringShape(parallelism)
+	pw.out.init(ctx, w, streamFormat, pw.build, depth, workers)
 	return pw
 }
 
-// buildStreamFrame stages one complete frame — container magic for the
-// first one, the u32 length prefix, and the compressed payload — into dst,
-// exactly as Writer.flushChunk lays it out.
-func buildStreamFrame(dst []byte, chunk []float32, first bool, opt Options) ([]byte, error) {
-	if first {
-		dst = append(dst, streamMagic...)
-		dst = append(dst, streamVersion)
+// build stages frame s.seq from s.vals. It is a pure function of (options,
+// ratio seed, frame index, values), so it can run on any worker and the
+// bytes do not depend on scheduling. Chunk 0 uses the seed verbatim;
+// later chunks re-resolve from it.
+func (pw *PipeWriter) build(s *pipeSlot) error {
+	opt := pw.opt
+	if opt.TargetRatio > 0 {
+		b := pw.ratio.seed
+		if s.seq > 0 {
+			var err error
+			if b, err = ratioChunkBound(pw.opt, pw.ratio.seed, s.vals); err != nil {
+				return err
+			}
+		}
+		opt = pw.opt.withBound(b)
 	}
-	hdrOff := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	out, err := CompressInto(dst, chunk, opt)
+	frame, at := streamFormat.openFrame(s.frame[:0], s.seq == 0)
+	frame, err := CompressInto(frame, s.vals, opt)
 	if err != nil {
-		return dst, err
+		return err
 	}
-	binary.LittleEndian.PutUint32(out[hdrOff:], uint32(len(out)-hdrOff-4))
-	return out, nil
+	s.frame = closeFrame(frame, at)
+	return nil
 }
 
-func (pw *PipeWriter) worker() {
-	defer pw.wg.Done()
-	for s := range pw.work {
-		opt := pw.opt
-		if pw.opt.TargetRatio > 0 {
-			// The seed was resolved on the producer goroutine before this
-			// slot was handed off (happens-before via the work channel), so
-			// reading it here is race-free. Chunk 0 uses the seed verbatim;
-			// later chunks re-resolve from it — a pure function of (options,
-			// seed, values), so frames match the serial Writer byte for byte
-			// regardless of worker scheduling.
-			if s.seq == 0 {
-				opt = pw.opt.withBound(pw.ratio.seed)
-			} else {
-				b, err := ratioChunkBound(pw.opt, pw.ratio.seed, s.vals)
-				if err != nil {
-					s.err = err
-					close(s.done)
-					continue
-				}
-				opt = pw.opt.withBound(b)
-			}
-		}
-		s.frame, s.err = buildStreamFrame(s.frame[:0], s.vals, s.seq == 0, opt)
-		close(s.done)
-	}
-}
-
-func (pw *PipeWriter) emitter() {
-	defer close(pw.emitDone)
-	obs := telemetry.Enabled()
-	for s := range pw.emit {
-		if obs {
-			t := telemetry.Start()
-			<-s.done
-			t.Stop(&telemetry.PipelineConsumerStalls)
-		} else {
-			<-s.done
-		}
-		switch {
-		case s.err != nil:
-			pw.perr.set(s.err)
-		case pw.perr.get() == nil:
-			if _, err := pw.w.Write(s.frame); err != nil {
-				pw.perr.set(err)
-			} else if telemetry.Enabled() {
-				telemetry.StreamFramesWritten.Inc()
-			}
-		}
-		if pw.tr != nil {
-			pw.tr.RecordSpan("pipe_frame", s.t0, time.Now())
-		}
-		s.vals = s.vals[:0]
-		pw.free <- s
-	}
-}
-
-// pinCtxErr pins the context's error (if the context is cancelled) as the
-// pipeline's terminal error and returns the current terminal error.
-func (pw *PipeWriter) pinCtxErr() error {
-	if pw.ctxDone != nil {
-		if err := pw.ctx.Err(); err != nil {
-			pw.perr.set(err)
-		}
-	}
-	return pw.perr.get()
-}
-
-// submit hands one chunk to the pipeline, blocking while all ring slots
-// are in flight (the backpressure bound). A context cancellation wakes the
-// blocked producer, pins the error, and drops the chunk.
+// submit hands one chunk to the engine.
 func (pw *PipeWriter) submit(chunk []float32) {
-	var s *pipeSlot
-	if telemetry.Enabled() {
-		t := telemetry.Start()
-		select {
-		case s = <-pw.free:
-		case <-pw.ctxDone:
-			pw.perr.set(pw.ctx.Err())
-			return
-		}
-		t.Stop(&telemetry.PipelineProducerStalls)
-		telemetry.PipelineFramesInFlight.Observe(int64(pw.depth - len(pw.free)))
-	} else {
-		select {
-		case s = <-pw.free:
-		case <-pw.ctxDone:
-			pw.perr.set(pw.ctx.Err())
-			return
-		}
-	}
 	if pw.opt.TargetRatio > 0 && !pw.ratio.seeded {
 		// Run the full bound search on the first chunk here, on the
 		// producer goroutine, so every worker sees the seed through the
-		// channel hand-off below.
+		// slot hand-off.
 		if _, err := pw.ratio.chunkBound(chunk, pw.opt); err != nil {
-			pw.perr.set(err)
-			pw.free <- s
+			pw.out.perr.set(err)
 			return
 		}
 	}
-	if pw.tr != nil {
-		s.t0 = time.Now()
-	}
-	s.seq = pw.seq
-	pw.seq++
-	s.vals = append(s.vals[:0], chunk...)
-	s.err = nil
-	s.done = make(chan struct{})
-	pw.emit <- s
-	pw.work <- s
+	pw.out.submit(chunk)
 }
 
-// Write buffers values, submitting full chunks to the pipeline. It chunks
-// exactly like Writer.Write, so the emitted frame boundaries are
-// identical. Errors from in-flight chunks surface on a later Write or on
-// Close (first error wins).
+// Write buffers values, submitting full chunks; large inputs are chunked
+// directly from the caller's slice without re-buffering. Errors from
+// in-flight chunks surface on a later Write or on Close (first error
+// wins); with one worker they surface on the Write that hit them.
 func (pw *PipeWriter) Write(values []float32) error {
-	if err := pw.pinCtxErr(); err != nil {
+	if err := pw.out.writable(); err != nil {
 		return err
-	}
-	if pw.closed {
-		return errors.New("szx: write after Close")
 	}
 	for len(values) > 0 {
 		if len(pw.buf) == 0 && len(values) >= pw.chunk {
 			pw.submit(values[:pw.chunk])
 			values = values[pw.chunk:]
 		} else {
-			need := pw.chunk - len(pw.buf)
-			if need > len(values) {
-				need = len(values)
-			}
+			need := min(pw.chunk-len(pw.buf), len(values))
 			pw.buf = append(pw.buf, values[:need]...)
 			values = values[need:]
 			if len(pw.buf) == pw.chunk {
@@ -334,52 +576,23 @@ func (pw *PipeWriter) Write(values []float32) error {
 				pw.buf = pw.buf[:0]
 			}
 		}
-		if err := pw.perr.get(); err != nil {
+		if err := pw.out.err(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// shutdown stops the pipeline: no more submissions, workers and the
-// emitter drain what is in flight and exit.
-func (pw *PipeWriter) shutdown() {
-	close(pw.work)
-	pw.wg.Wait()
-	close(pw.emit)
-	<-pw.emitDone
-}
-
 // Close flushes the buffered tail chunk, drains the pipeline, writes the
 // terminator, and joins every goroutine. It returns the first error the
-// pipeline hit, if any; a second Close is a no-op returning that same
-// error state.
+// stream hit, if any; a second Close is a no-op returning that same error
+// state.
 func (pw *PipeWriter) Close() error {
-	if pw.closed {
-		return pw.perr.get()
-	}
-	pw.closed = true
-	if len(pw.buf) > 0 && pw.pinCtxErr() == nil {
+	if !pw.out.closed && len(pw.buf) > 0 && pw.out.err() == nil {
 		pw.submit(pw.buf)
 		pw.buf = pw.buf[:0]
 	}
-	pw.shutdown()
-	if err := pw.pinCtxErr(); err != nil {
-		return err
-	}
-	// Terminator, prefixed by the container magic when no chunk was ever
-	// submitted (empty stream), exactly as Writer.Close emits it.
-	tail := make([]byte, 0, len(streamMagic)+5)
-	if pw.seq == 0 {
-		tail = append(tail, streamMagic...)
-		tail = append(tail, streamVersion)
-	}
-	tail = append(tail, 0, 0, 0, 0)
-	if _, err := pw.w.Write(tail); err != nil {
-		pw.perr.set(err)
-		return err
-	}
-	return nil
+	return pw.out.close()
 }
 
 // Abort stops the pipeline without flushing the tail chunk or writing the
@@ -387,47 +600,33 @@ func (pw *PipeWriter) Close() error {
 // joins every goroutine; subsequent Write and Close calls report the
 // abort. Already-submitted frames may or may not reach the writer.
 func (pw *PipeWriter) Abort() {
-	if pw.closed {
+	if pw.out.closed {
 		return
 	}
-	pw.closed = true
-	pw.perr.set(errStreamAborted)
-	pw.shutdown()
+	pw.out.perr.set(errStreamAborted)
+	pw.out.shutdown()
 }
 
-// PipeReader is the pipelined counterpart of Reader: a prefetcher
-// goroutine reads length-prefixed frames ahead while a pool of workers
-// decompresses them concurrently, and Read delivers values strictly in
-// frame order. Memory is bounded by the ring: at most parallelism+2
-// compressed frames (and their decoded chunks) are in flight.
+// PipeReader decompresses an SZXS container. With one worker it reads and
+// decodes each frame on the caller's goroutine; with more, a prefetcher
+// goroutine reads frames ahead while a pool of workers decodes them
+// concurrently, and Read delivers values strictly in frame order. Memory
+// is bounded by the ring: at most parallelism+2 compressed frames (and
+// their decoded chunks) are in flight.
 //
 // A PipeReader is not safe for concurrent use. Close releases the
 // background goroutines; it must be called when abandoning a stream
 // mid-read (after a clean EOF or a terminal error the goroutines have
 // already exited, but Close remains safe and idempotent).
 type PipeReader struct {
-	r     io.Reader
-	depth int
-
-	ctx     context.Context
-	ctxDone <-chan struct{} // nil without a context; a nil channel never fires
-	tr      *trace.Trace   // request trace from ctx; nil = untraced
-
-	free chan *pipeSlot
-	work chan *pipeSlot
-	emit chan *pipeSlot
-	stop chan struct{}
-
-	wg sync.WaitGroup // prefetcher + decode workers
-
-	cur    *pipeSlot // slot currently being drained
-	pos    int
-	err    error
-	closed bool
+	in   frameSource
+	vals []float32 // current frame's values; vals[pos:] are undelivered
+	pos  int
 }
 
-// NewPipeReader returns a pipelined streaming decompressor reading from r.
-// parallelism is the number of concurrent frame decodes (≤0 = GOMAXPROCS).
+// NewPipeReader returns a streaming decompressor reading from r.
+// parallelism is the number of concurrent frame decodes (≤0 =
+// GOMAXPROCS); one worker starts no goroutines.
 func NewPipeReader(r io.Reader, parallelism int) *PipeReader {
 	return NewPipeReaderContext(context.Background(), r, parallelism)
 }
@@ -441,275 +640,67 @@ func NewPipeReader(r io.Reader, parallelism int) *PipeReader {
 // unblocks on cancellation (HTTP request bodies do). Close remains safe
 // and idempotent.
 func NewPipeReaderContext(ctx context.Context, r io.Reader, parallelism int) *PipeReader {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	depth := pipelineDepth(parallelism)
-	pr := &PipeReader{
-		r:       r,
-		depth:   depth,
-		ctx:     ctx,
-		ctxDone: ctx.Done(),
-		tr:      trace.FromContext(ctx),
-		free:    make(chan *pipeSlot, depth),
-		work:    make(chan *pipeSlot, depth),
-		emit:    make(chan *pipeSlot, depth),
-		stop:    make(chan struct{}),
-	}
-	for i := 0; i < depth; i++ {
-		pr.free <- &pipeSlot{}
-	}
-	pr.wg.Add(1 + parallelism)
-	go pr.prefetch()
-	for i := 0; i < parallelism; i++ {
-		go pr.decodeWorker()
-	}
-	if telemetry.Enabled() {
-		telemetry.PipelineStarts.Inc()
-		telemetry.PipelineDepths.Observe(int64(depth))
-	}
+	pr := &PipeReader{}
+	depth, workers := ringShape(parallelism)
+	pr.in.init(ctx, r, streamFormat, decodeChunk, depth, workers)
 	return pr
 }
 
-// headerErr marks a container-header failure: the slot carries the final
-// error verbatim (idx < 0 distinguishes it from frame errors).
-func headerSlot(err error) *pipeSlot {
-	s := &pipeSlot{idx: -1, err: err, done: make(chan struct{})}
-	close(s.done)
-	return s
+// decodeChunk decodes an SZXS frame into the slot's reused value buffer.
+func decodeChunk(s *pipeSlot) error {
+	vals, err := DecompressInto(s.vals[:0], s.frame)
+	if err != nil {
+		return err
+	}
+	s.vals = vals
+	return nil
 }
 
-// send delivers a slot to ch unless the reader is being closed or its
-// context is cancelled.
-func (pr *PipeReader) send(ch chan *pipeSlot, s *pipeSlot) bool {
-	select {
-	case ch <- s:
-		return true
-	case <-pr.stop:
-		return false
-	case <-pr.ctxDone:
-		return false
-	}
-}
-
-func (pr *PipeReader) prefetch() {
-	defer pr.wg.Done()
-	defer close(pr.work)
-	defer close(pr.emit)
-
-	var hdr [5]byte
-	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
-		pr.send(pr.emit, headerSlot(fmt.Errorf("%w: container header: %w", ErrStream, err)))
-		return
-	}
-	if string(hdr[:4]) != streamMagic || hdr[4] != streamVersion {
-		pr.send(pr.emit, headerSlot(ErrStream))
-		return
-	}
-	byteOff := int64(5)
-	idx := 0
-	obs := telemetry.Enabled()
-	for {
-		frameOff := byteOff
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(pr.r, lenBuf[:]); err != nil {
-			pr.send(pr.emit, frameErrSlot(idx, frameOff, fmt.Errorf("truncated frame header: %w", err)))
-			return
-		}
-		byteOff += 4
-		frameLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if frameLen == 0 {
-			return // clean terminator
-		}
-		if frameLen > 1<<31 {
-			pr.send(pr.emit, frameErrSlot(idx, frameOff, fmt.Errorf("frame length %d out of range", frameLen)))
-			return
-		}
-		var s *pipeSlot
-		if obs {
-			t := telemetry.Start()
-			select {
-			case s = <-pr.free:
-			case <-pr.stop:
-				return
-			case <-pr.ctxDone:
-				return
-			}
-			t.Stop(&telemetry.PipelineProducerStalls)
-			telemetry.PipelineFramesInFlight.Observe(int64(pr.depth - len(pr.free)))
-		} else {
-			select {
-			case s = <-pr.free:
-			case <-pr.stop:
-				return
-			case <-pr.ctxDone:
-				return
-			}
-		}
-		if pr.tr != nil {
-			s.t0 = time.Now()
-		}
-		frame, got, err := readFrameBody(pr.r, s.frame, int(frameLen))
-		s.frame = frame
-		byteOff += int64(got)
-		s.idx = idx
-		s.off = frameOff
-		s.err = nil
-		s.done = make(chan struct{})
-		if err != nil {
-			s.err = fmt.Errorf("truncated frame (%d of %d payload bytes): %w", got, frameLen, err)
-			close(s.done)
-			pr.send(pr.emit, s)
-			return
-		}
-		if !pr.send(pr.emit, s) {
-			return
-		}
-		if !pr.send(pr.work, s) {
-			// Closing: no worker will ever decode this slot; close its done
-			// signal so the Close-side drain does not wait forever.
-			close(s.done)
-			return
-		}
-		idx++
-	}
-}
-
-// frameErrSlot wraps a prefetch-side frame failure; the consumer turns it
-// into a FrameError so reporting matches the serial Reader exactly.
-func frameErrSlot(idx int, off int64, cause error) *pipeSlot {
-	s := &pipeSlot{idx: idx, off: off, err: cause, done: make(chan struct{})}
-	close(s.done)
-	return s
-}
-
-func (pr *PipeReader) decodeWorker() {
-	defer pr.wg.Done()
-	for s := range pr.work {
-		if s.err == nil {
-			vals, err := DecompressInto(s.vals[:0], s.frame)
-			if err != nil {
-				s.err = err
-			} else {
-				s.vals = vals
-			}
-		}
-		close(s.done)
-	}
-}
-
-// recvSlot waits for the next in-order slot (and its decode) unless the
-// context is cancelled first. Every slot that reaches the emit queue is
-// guaranteed to have its done signal closed eventually — by a decode
-// worker, by the prefetcher's failed-hand-off path, or at construction for
-// error slots — so the done wait needs no cancellation case of its own.
-func (pr *PipeReader) recvSlot() (s *pipeSlot, ok bool, cancelled error) {
-	select {
-	case s, ok = <-pr.emit:
-		if ok {
-			<-s.done
-		}
-		return s, ok, nil
-	case <-pr.ctxDone:
-		return nil, false, pr.ctx.Err()
-	}
-}
-
-// fail pins a frame-level failure as the reader's terminal error, counting
-// it exactly as the serial Reader does.
-func (pr *PipeReader) fail(s *pipeSlot) error {
-	telemetry.StreamFrameErrors.Inc()
-	if s.idx < 0 {
-		pr.err = s.err // container-header failure, already fully wrapped
-	} else {
-		pr.err = &FrameError{Frame: s.idx, Offset: s.off, Err: s.err}
-	}
-	return pr.err
-}
-
-// next advances to the next decoded slot in frame order, recycling the
-// drained one. It returns io.EOF at the terminator.
+// next advances to the next frame's values; it returns io.EOF at the
+// terminator.
 func (pr *PipeReader) next() error {
-	if pr.cur != nil {
-		if pr.tr != nil {
-			pr.tr.RecordSpan("pipe_frame", pr.cur.t0, time.Now())
-		}
-		pr.cur.frame = pr.cur.frame[:0]
-		pr.free <- pr.cur
-		pr.cur = nil
+	s, err := pr.in.next()
+	if err != nil {
+		pr.vals, pr.pos = nil, 0
+		return err
 	}
-	var s *pipeSlot
-	var ok bool
-	var cancelled error
-	if telemetry.Enabled() {
-		t := telemetry.Start()
-		s, ok, cancelled = pr.recvSlot()
-		t.Stop(&telemetry.PipelineConsumerStalls)
-	} else {
-		s, ok, cancelled = pr.recvSlot()
-	}
-	if cancelled != nil {
-		pr.err = cancelled
-		return pr.err
-	}
-	if !ok {
-		// The prefetcher may have exited because the context fired rather
-		// than because the stream ended; report the cancellation, not EOF.
-		if pr.ctxDone != nil {
-			if err := pr.ctx.Err(); err != nil {
-				pr.err = err
-				return pr.err
-			}
-		}
-		pr.err = io.EOF
-		return io.EOF
-	}
-	if s.err != nil {
-		return pr.fail(s)
-	}
-	pr.cur = s
-	pr.pos = 0
-	if telemetry.Enabled() {
-		telemetry.StreamFramesRead.Inc()
-	}
+	pr.vals, pr.pos = s.vals, 0
 	return nil
 }
 
 // Read fills p with decompressed values, returning the count. It returns
 // io.EOF after the final chunk is exhausted.
 func (pr *PipeReader) Read(p []float32) (int, error) {
-	if pr.err != nil {
-		return 0, pr.err
+	if pr.in.err != nil {
+		return 0, pr.in.err
 	}
 	total := 0
 	for total < len(p) {
-		if pr.cur == nil || pr.pos == len(pr.cur.vals) {
+		if pr.pos == len(pr.vals) {
 			if err := pr.next(); err != nil {
 				if total > 0 && err == io.EOF {
-					pr.err = nil // deliver what we have; EOF on the next call
-					return total, nil
+					return total, nil // EOF again on the next call
 				}
 				return total, err
 			}
 		}
-		n := copy(p[total:], pr.cur.vals[pr.pos:])
+		n := copy(p[total:], pr.vals[pr.pos:])
 		pr.pos += n
 		total += n
 	}
 	return total, nil
 }
 
-// ReadAll decompresses the remainder of the stream.
+// ReadAll decompresses the remainder of the stream. After a failure it
+// returns the same error, and no values, on every later call.
 func (pr *PipeReader) ReadAll() ([]float32, error) {
-	if pr.err != nil && pr.err != io.EOF {
-		return nil, pr.err
+	if err := pr.in.err; err != nil && err != io.EOF {
+		return nil, err
 	}
 	var out []float32
 	for {
-		if pr.cur != nil && pr.pos < len(pr.cur.vals) {
-			out = append(out, pr.cur.vals[pr.pos:]...)
-			pr.pos = len(pr.cur.vals)
-		}
+		out = append(out, pr.vals[pr.pos:]...)
+		pr.pos = len(pr.vals)
 		if err := pr.next(); err != nil {
 			if err == io.EOF {
 				return out, nil
@@ -724,21 +715,6 @@ func (pr *PipeReader) ReadAll() ([]float32, error) {
 // blocked in Read, Close blocks until that call returns (hand PipeReader a
 // reader you can unblock, e.g. by closing the file or connection).
 func (pr *PipeReader) Close() error {
-	if pr.closed {
-		return nil
-	}
-	pr.closed = true
-	close(pr.stop)
-	// Drain the in-order queue so the prefetcher and workers are never
-	// stuck handing off a slot, then join everything.
-	go func() {
-		for s := range pr.emit {
-			<-s.done
-		}
-	}()
-	pr.wg.Wait()
-	if pr.err == nil {
-		pr.err = errors.New("szx: read after Close")
-	}
+	pr.in.close()
 	return nil
 }

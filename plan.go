@@ -474,8 +474,8 @@ func streamOverhead(n, bs int) int {
 // streamRatio carries fixed-ratio state across a stream's chunks: the
 // first chunk runs the full bound search and its bound seeds every later
 // chunk's cheap re-estimation. The resolution for chunk k is a pure
-// function of (options, seed, chunk values), which is what keeps the
-// serial Writer and the pipelined PipeWriter byte-identical.
+// function of (options, seed, chunk values), which is what keeps a
+// PipeWriter's bytes independent of its parallelism.
 type streamRatio struct {
 	seed   float64
 	seeded bool

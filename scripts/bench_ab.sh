@@ -85,14 +85,6 @@ if [[ "${BENCH_OBS:-1}" != 0 ]]; then
     go run ./cmd/szxbench -obs - -benchtime "$BENCHTIME"
 fi
 
-# Streaming dump/load A/B for the working tree: serial Writer/Reader vs the
-# pipelined engine over file, simulated-PFS, and balanced sinks (the
-# BENCH_STREAM.json workload). Skip with BENCH_STREAM=0.
-if [[ "${BENCH_STREAM:-1}" != 0 ]]; then
-    echo "bench_ab: streaming serial-vs-pipelined A/B (working tree)" >&2
-    go run ./cmd/szxbench -stream - -benchtime "$BENCHTIME"
-fi
-
 # Service A/B: the szxd load generator (the BENCH_SERVE.json workload) run
 # interleaved between the baseline worktree and the working tree, same
 # A,B,A,B discipline as the codec benchmarks. The headline comparison is

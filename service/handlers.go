@@ -196,7 +196,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if isStreamContainer(body) {
-		// SZXS container: decode chunk by chunk with the serial container
+		// SZXS container: decode chunk by chunk with the inline container
 		// reader (no goroutines, fully deterministic) into the reused
 		// value buffer.
 		sp := rq.tr.StartSpan("decode")

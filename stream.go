@@ -7,21 +7,23 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/telemetry"
 )
 
-// Streaming codec: an io.Writer/io.Reader pair that carries an unbounded
-// sequence of float32 values as independently compressed chunks. This is
-// the shape the paper's online instrument-data use case needs (LCLS-II,
-// §1): data arrives continuously, each chunk is compressed and flushed
-// with bounded latency and memory, and a crashed stream is readable up to
-// the last complete chunk.
+// Streaming codec: an unbounded sequence of float32 values carried as
+// independently compressed chunks. This is the shape the paper's online
+// instrument-data use case needs (LCLS-II, §1): data arrives continuously,
+// each chunk is compressed and flushed with bounded latency and memory,
+// and a crashed stream is readable up to the last complete chunk.
 //
-// Wire format:
+// Both streaming containers share one length-prefixed layout, differing
+// only in the magic and in the sentinel their errors wrap:
 //
-//	"SZXS" u8(version)
-//	repeat: u32 frameLen | SZx stream of one chunk
+//	magic u8(version)
+//	repeat: u32 frameLen | payload
 //	u32(0) terminator
+//
+// "SZXS" frames are SZx streams of one chunk each (PipeWriter/PipeReader);
+// "SZXT" frames are TimeCompressor frames (TimeStreamWriter/Reader).
 //
 // With Mode == BoundRelative the bound is resolved against each chunk's
 // own value range (instruments rarely know the global range in advance);
@@ -42,283 +44,149 @@ var ErrStream = errors.New("szx: malformed stream container")
 // offset of the frame's length prefix within the container, so corruption
 // reports name the exact spot instead of a bare "unexpected EOF"; the
 // underlying cause (io.ErrUnexpectedEOF, ErrCorrupt, ...) stays reachable
-// through errors.Is/As, as does ErrStream. Every FrameError also
-// increments the telemetry stream-frame-error counter (error counters are
-// not gated on telemetry being enabled — corruption is rare enough that
-// counting it is free, and the count is the first thing an operator wants).
+// through errors.Is/As, as does the container's sentinel (ErrStream, or
+// ErrTimeStream for a temporal stream). Every FrameError also increments
+// the telemetry stream-frame-error counter (error counters are not gated
+// on telemetry being enabled — corruption is rare enough that counting it
+// is free, and the count is the first thing an operator wants).
 type FrameError struct {
 	Frame  int   // zero-based frame index within the stream
 	Offset int64 // byte offset of the frame's length prefix in the container
 	Err    error // underlying cause
+
+	kind error // container sentinel; nil means ErrStream
 }
 
 func (e *FrameError) Error() string {
 	return fmt.Sprintf("szx: stream frame %d (container offset %d): %v", e.Frame, e.Offset, e.Err)
 }
 
-// Unwrap exposes both ErrStream and the underlying cause.
-func (e *FrameError) Unwrap() []error { return []error{ErrStream, e.Err} }
-
-// Writer compresses a stream of float32 values chunk by chunk.
-type Writer struct {
-	w      io.Writer
-	opt    Options
-	chunk  int
-	buf    []float32
-	comp   []byte // reused compressed-chunk buffer
-	ratio  streamRatio
-	err    error
-	opened bool
-	closed bool
+// Unwrap exposes both the container sentinel and the underlying cause.
+func (e *FrameError) Unwrap() []error {
+	if e.kind == nil {
+		return []error{ErrStream, e.Err}
+	}
+	return []error{e.kind, e.Err}
 }
 
-// NewWriter returns a streaming compressor writing to w. ChunkValues
-// controls the chunk granularity (0 = DefaultChunkValues).
+// Writer is PipeWriter; NewWriter returns its one-worker configuration,
+// which compresses and writes every chunk on the caller's goroutine.
+type Writer = PipeWriter
+
+// Reader is PipeReader; NewReader returns its one-worker configuration,
+// which reads and decodes every frame on the caller's goroutine.
+type Reader = PipeReader
+
+// NewWriter returns a streaming compressor writing to w that starts no
+// goroutines (NewPipeWriter with parallelism 1). ChunkValues controls the
+// chunk granularity (0 = DefaultChunkValues).
 func NewWriter(w io.Writer, opt Options, chunkValues int) *Writer {
-	if chunkValues <= 0 {
-		chunkValues = DefaultChunkValues
-	}
-	return &Writer{w: w, opt: opt, chunk: chunkValues}
+	return NewPipeWriter(w, opt, chunkValues, 1)
 }
 
-// Write buffers values, compressing and emitting full chunks. Large inputs
-// are chunked directly from the caller's slice without re-buffering.
-func (sw *Writer) Write(values []float32) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return errors.New("szx: write after Close")
-	}
-	for len(values) > 0 {
-		if len(sw.buf) == 0 && len(values) >= sw.chunk {
-			if err := sw.flushChunk(values[:sw.chunk]); err != nil {
-				return err
-			}
-			values = values[sw.chunk:]
-			continue
-		}
-		need := sw.chunk - len(sw.buf)
-		if need > len(values) {
-			need = len(values)
-		}
-		sw.buf = append(sw.buf, values[:need]...)
-		values = values[need:]
-		if len(sw.buf) == sw.chunk {
-			if err := sw.flushChunk(sw.buf); err != nil {
-				return err
-			}
-			sw.buf = sw.buf[:0]
-		}
-	}
-	return nil
-}
-
-func (sw *Writer) flushChunk(chunk []float32) error {
-	// Stage the whole frame — container magic (first chunk only), the u32
-	// frame length, and the compressed payload — in one reused buffer and
-	// emit it with a single Write. The instrument-streaming path calls this
-	// per chunk, so coalescing turns three syscalls (or three bufio copies)
-	// into one; the length is backfilled after compression since it is not
-	// known up front.
-	buf := sw.comp[:0]
-	if !sw.opened {
-		buf = append(buf, streamMagic...)
-		buf = append(buf, streamVersion)
-	}
-	hdrOff := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	copt := sw.opt
-	if sw.opt.TargetRatio > 0 {
-		// Fixed-ratio streaming: the first chunk runs the full bound
-		// search; each later chunk re-estimates from that seed (same pure
-		// resolution the pipelined writer uses, keeping the bytes
-		// identical).
-		b, err := sw.ratio.chunkBound(chunk, sw.opt)
-		if err != nil {
-			sw.err = err
-			return err
-		}
-		copt = sw.opt.withBound(b)
-	}
-	buf, err := CompressInto(buf, chunk, copt)
-	if err != nil {
-		sw.err = err
-		return err
-	}
-	binary.LittleEndian.PutUint32(buf[hdrOff:], uint32(len(buf)-hdrOff-4))
-	sw.comp = buf
-	if _, err := sw.w.Write(buf); err != nil {
-		sw.err = err
-		return err
-	}
-	sw.opened = true
-	if telemetry.Enabled() {
-		telemetry.StreamFramesWritten.Inc()
-	}
-	return nil
-}
-
-// Close flushes any buffered tail chunk and writes the terminator.
-func (sw *Writer) Close() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return nil
-	}
-	if len(sw.buf) > 0 {
-		if err := sw.flushChunk(sw.buf); err != nil {
-			return err
-		}
-		sw.buf = sw.buf[:0]
-	}
-	// Terminator, prefixed by the container magic when no chunk was ever
-	// flushed (empty stream), emitted as one Write.
-	tail := sw.comp[:0]
-	if !sw.opened {
-		tail = append(tail, streamMagic...)
-		tail = append(tail, streamVersion)
-	}
-	tail = append(tail, 0, 0, 0, 0)
-	sw.comp = tail
-	if _, err := sw.w.Write(tail); err != nil {
-		sw.err = err
-		return err
-	}
-	sw.opened = true
-	sw.closed = true
-	return nil
-}
-
-// Reader decompresses a stream produced by Writer.
-type Reader struct {
-	r        io.Reader
-	buf      []float32 // decoded values not yet delivered (reused per chunk)
-	frame    []byte    // reused compressed-frame buffer
-	pos      int
-	frameIdx int   // index of the next frame to read
-	byteOff  int64 // container bytes consumed so far
-	opened   bool
-	done     bool
-	err      error
-}
-
-// NewReader returns a streaming decompressor reading from r.
+// NewReader returns a streaming decompressor reading from r that starts
+// no goroutines (NewPipeReader with parallelism 1).
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r}
+	return NewPipeReader(r, 1)
 }
 
-// Read fills p with decompressed values, returning the count. It returns
-// io.EOF after the final chunk is exhausted.
-func (sr *Reader) Read(p []float32) (int, error) {
-	if sr.err != nil {
-		return 0, sr.err
-	}
-	total := 0
-	for total < len(p) {
-		if sr.pos == len(sr.buf) {
-			if err := sr.nextChunk(); err != nil {
-				if total > 0 && err == io.EOF {
-					return total, nil
-				}
-				return total, err
-			}
-		}
-		n := copy(p[total:], sr.buf[sr.pos:])
-		sr.pos += n
-		total += n
-	}
-	return total, nil
+// frameFormat is one container layout of the shape above. It is the only
+// code that knows the framing: writers stage frames through openFrame/
+// closeFrame and finish with appendEnd; readers parse through frameReader.
+type frameFormat struct {
+	magic   string
+	version byte
+	kind    error // sentinel every container error wraps
 }
 
-// ReadAll decompresses the remainder of the stream.
-func (sr *Reader) ReadAll() ([]float32, error) {
-	var out []float32
-	for {
-		if sr.pos < len(sr.buf) {
-			out = append(out, sr.buf[sr.pos:]...)
-			sr.pos = len(sr.buf)
-		}
-		if err := sr.nextChunk(); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, err
-		}
+var streamFormat = &frameFormat{streamMagic, streamVersion, ErrStream}
+
+// openFrame appends the container header (before the first frame only)
+// and a placeholder for the frame's u32 length, returning the
+// placeholder's offset for closeFrame. Header, length and payload are
+// staged in one buffer so every frame reaches the sink as one Write.
+func (f *frameFormat) openFrame(dst []byte, first bool) ([]byte, int) {
+	if first {
+		dst = append(dst, f.magic...)
+		dst = append(dst, f.version)
 	}
+	at := len(dst)
+	return append(dst, 0, 0, 0, 0), at
 }
 
-// frameErr records a frame-level failure: it counts it, pins it as the
-// Reader's terminal error, and wraps it with the frame index and the byte
-// offset of the frame's length prefix.
-func (sr *Reader) frameErr(off int64, cause error) error {
-	telemetry.StreamFrameErrors.Inc()
-	sr.err = &FrameError{Frame: sr.frameIdx, Offset: off, Err: cause}
-	return sr.err
+// closeFrame backfills the length of the frame opened at offset at.
+func closeFrame(frame []byte, at int) []byte {
+	binary.LittleEndian.PutUint32(frame[at:], uint32(len(frame)-at-4))
+	return frame
 }
 
-func (sr *Reader) nextChunk() error {
-	if sr.done {
-		return io.EOF
-	}
-	if !sr.opened {
+// appendEnd appends the terminator — a zero length prefix — preceded by
+// the container header when no frame was written (an empty stream).
+func (f *frameFormat) appendEnd(dst []byte, empty bool) []byte {
+	dst, _ = f.openFrame(dst, empty)
+	return dst
+}
+
+// frameErr wraps a failure of frame idx, whose length prefix sits at
+// container offset off.
+func (f *frameFormat) frameErr(idx int, off int64, cause error) error {
+	return &FrameError{Frame: idx, Offset: off, Err: cause, kind: f.kind}
+}
+
+// frameReader parses a container frame by frame.
+type frameReader struct {
+	r      io.Reader
+	f      *frameFormat
+	idx    int   // index of the next frame
+	off    int64 // container bytes consumed so far
+	opened bool
+}
+
+// next reads the next frame's payload into dst (reused), returning it with
+// the frame's index and the offset of its length prefix. It returns io.EOF
+// at the terminator; any other error is final and already wraps the
+// container's sentinel.
+func (fr *frameReader) next(dst []byte) (frame []byte, idx int, off int64, err error) {
+	if !fr.opened {
 		var hdr [5]byte
-		if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
-			telemetry.StreamFrameErrors.Inc()
-			sr.err = fmt.Errorf("%w: container header: %w", ErrStream, err)
-			return sr.err
+		if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+			return dst, 0, 0, fmt.Errorf("%w: container header: %w", fr.f.kind, err)
 		}
-		if string(hdr[:4]) != streamMagic || hdr[4] != streamVersion {
-			telemetry.StreamFrameErrors.Inc()
-			sr.err = ErrStream
-			return sr.err
+		if string(hdr[:4]) != fr.f.magic || hdr[4] != fr.f.version {
+			return dst, 0, 0, fr.f.kind
 		}
-		sr.opened = true
-		sr.byteOff = 5
+		fr.opened = true
+		fr.off = 5
 	}
-	frameOff := sr.byteOff // offset of this frame's u32 length prefix
+	idx, off = fr.idx, fr.off
 	var lenBuf [4]byte
-	if _, err := io.ReadFull(sr.r, lenBuf[:]); err != nil {
-		return sr.frameErr(frameOff, fmt.Errorf("truncated frame header: %w", err))
+	if _, err := io.ReadFull(fr.r, lenBuf[:]); err != nil {
+		return dst, idx, off, fr.f.frameErr(idx, off, fmt.Errorf("truncated frame header: %w", err))
 	}
-	sr.byteOff += 4
+	fr.off += 4
 	frameLen := binary.LittleEndian.Uint32(lenBuf[:])
 	if frameLen == 0 {
-		sr.done = true
-		return io.EOF
+		return dst, idx, off, io.EOF
 	}
 	if frameLen > 1<<31 {
-		return sr.frameErr(frameOff, fmt.Errorf("frame length %d out of range", frameLen))
+		return dst, idx, off, fr.f.frameErr(idx, off, fmt.Errorf("frame length %d out of range", frameLen))
 	}
-	frame, got, err := readFrameBody(sr.r, sr.frame, int(frameLen))
-	sr.frame = frame
-	sr.byteOff += int64(got)
+	frame, err = readFrameBody(fr.r, dst, int(frameLen))
+	fr.off += int64(len(frame))
 	if err != nil {
-		return sr.frameErr(frameOff, fmt.Errorf("truncated frame (%d of %d payload bytes): %w",
-			got, frameLen, err))
+		return frame, idx, off, fr.f.frameErr(idx, off, fmt.Errorf("truncated frame (%d of %d payload bytes): %w",
+			len(frame), frameLen, err))
 	}
-	vals, err := DecompressInto(sr.buf[:0], frame)
-	if err != nil {
-		return sr.frameErr(frameOff, err)
-	}
-	sr.buf = vals
-	sr.pos = 0
-	sr.frameIdx++
-	if telemetry.Enabled() {
-		telemetry.StreamFramesRead.Inc()
-	}
-	return nil
+	fr.idx++
+	return frame, idx, off, nil
 }
 
 // readFrameBody reads frameLen payload bytes from r directly into the
 // (reused) dst buffer, growing it incrementally so a forged length prefix
 // cannot force a huge up-front allocation: capacity starts at ≤1 MiB and
 // doubles only as real bytes arrive, so memory stays proportional to what
-// was actually received. It returns the filled buffer, the payload bytes
-// received (= len of the returned buffer), and any read error. Shared by
-// the serial Reader and the PipeReader prefetcher.
-func readFrameBody(r io.Reader, dst []byte, frameLen int) ([]byte, int, error) {
+// was actually received. It returns the bytes received and any read error.
+func readFrameBody(r io.Reader, dst []byte, frameLen int) ([]byte, error) {
 	const step = 1 << 20
 	frame := dst[:0]
 	if cap(frame) < min(frameLen, step) {
@@ -338,10 +206,10 @@ func readFrameBody(r io.Reader, dst []byte, frameLen int) ([]byte, int, error) {
 		got, err := io.ReadFull(r, frame[off:off+n])
 		frame = frame[:off+got]
 		if err != nil {
-			return frame, len(frame), err
+			return frame, err
 		}
 	}
-	return frame, len(frame), nil
+	return frame, nil
 }
 
 // --- random access ---------------------------------------------------------

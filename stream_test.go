@@ -2,10 +2,12 @@ package szx
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -307,6 +309,152 @@ func TestStreamFrameError(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStreamReaderPinsFrameError pins that a frame failure is terminal:
+// after it, ReadAll and Read return the same *FrameError and no values
+// instead of resuming at the next frame and silently dropping the bad one.
+func TestStreamReaderPinsFrameError(t *testing.T) {
+	data := testField(3*16384, 21)
+	blob := serialStreamBytes(t, data, Options{ErrorBound: 1e-3}, 1<<14)
+	offs := streamFrameOffsets(t, blob)
+	bad := append([]byte(nil), blob...)
+	copy(bad[offs[1]+4:], "junk")
+
+	pr := NewPipeReader(bytes.NewReader(bad), 2)
+	defer pr.Close()
+	for _, tc := range []struct {
+		name string
+		r    interface {
+			Read([]float32) (int, error)
+			ReadAll() ([]float32, error)
+		}
+	}{
+		{"NewReader", NewReader(bytes.NewReader(bad))},
+		{"NewPipeReader/2", pr},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := tc.r.ReadAll()
+			var fe *FrameError
+			if !errors.As(err, &fe) || fe.Frame != 1 {
+				t.Fatalf("first ReadAll: %v; want a *FrameError for frame 1", err)
+			}
+			if len(out) != 16384 {
+				t.Fatalf("first ReadAll recovered %d values; want 16384", len(out))
+			}
+			if out, err2 := tc.r.ReadAll(); err2 != err || len(out) != 0 {
+				t.Fatalf("second ReadAll: %d values, %v; want 0 values and %v", len(out), err2, err)
+			}
+			if n, err3 := tc.r.Read(make([]float32, 64)); err3 != err || n != 0 {
+				t.Fatalf("Read after the failure: %d values, %v; want 0 values and %v", n, err3, err)
+			}
+		})
+	}
+}
+
+// TestStreamInlineStartsNoGoroutines pins inline mode: the one-worker
+// configuration does all its work on the caller's goroutine, from
+// construction through Close (writing) and EOF (reading).
+func TestStreamInlineStartsNoGoroutines(t *testing.T) {
+	data := testField(5*4096+17, 5)
+	opt := Options{ErrorBound: 1e-3}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	baseline := runtime.NumGoroutine()
+	check := func(step string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > baseline {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines > baseline %d\n%s", step, n, baseline, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	var blob []byte
+	for name, open := range map[string]func(io.Writer) *PipeWriter{
+		"NewWriter":              func(w io.Writer) *PipeWriter { return NewWriter(w, opt, 4096) },
+		"NewPipeWriter/1":        func(w io.Writer) *PipeWriter { return NewPipeWriter(w, opt, 4096, 1) },
+		"NewPipeWriterContext/1": func(w io.Writer) *PipeWriter { return NewPipeWriterContext(ctx, w, opt, 4096, 1) },
+	} {
+		var buf bytes.Buffer
+		w := open(&buf)
+		check(name + " construction")
+		if err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		check(name + " Write")
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(name + " Close")
+		blob = buf.Bytes()
+	}
+	for name, open := range map[string]func() *PipeReader{
+		"NewReader":              func() *PipeReader { return NewReader(bytes.NewReader(blob)) },
+		"NewPipeReader/1":        func() *PipeReader { return NewPipeReader(bytes.NewReader(blob), 1) },
+		"NewPipeReaderContext/1": func() *PipeReader { return NewPipeReaderContext(ctx, bytes.NewReader(blob), 1) },
+	} {
+		r := open()
+		check(name + " construction")
+		if _, err := r.Read(make([]float32, 100)); err != nil {
+			t.Fatal(err)
+		}
+		check(name + " Read")
+		out, err := r.ReadAll()
+		if err != nil || len(out) != len(data)-100 {
+			t.Fatalf("%s: ReadAll: %d values, %v", name, len(out), err)
+		}
+		check(name + " EOF")
+	}
+}
+
+// TestTimeStreamFrameError pins the SZXT error contract: an undecodable
+// frame is a counted *FrameError naming the frame, unwrapping to
+// ErrTimeStream (not ErrStream) and the decoder's cause, and it is pinned.
+func TestTimeStreamFrameError(t *testing.T) {
+	var buf bytes.Buffer
+	tw, err := NewTimeStreamWriter(&buf, Options{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := testField(4096, 8)
+	for f := 0; f < 3; f++ {
+		frame := make([]float32, len(base))
+		for i := range frame {
+			frame[i] = base[i] + 0.01*float32(f)
+		}
+		if err := tw.WriteFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	offs := streamFrameOffsets(t, buf.Bytes())
+	if len(offs) != 3 {
+		t.Fatalf("got %d frames; want 3", len(offs))
+	}
+	bad := append([]byte(nil), buf.Bytes()...)
+	copy(bad[offs[1]+5:], "junk") // past the delta tag: the inner SZx magic
+
+	before := telemetry.StreamFrameErrors.Load()
+	tr := NewTimeStreamReader(bytes.NewReader(bad))
+	defer tr.Close()
+	if _, err := tr.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = tr.ReadFrame()
+	var fe *FrameError
+	if !errors.As(err, &fe) || fe.Frame != 1 || fe.Offset != offs[1] {
+		t.Fatalf("got %v; want a *FrameError for frame 1 at offset %d", err, offs[1])
+	}
+	if !errors.Is(err, ErrTimeStream) || errors.Is(err, ErrStream) || !errors.Is(err, ErrBadMagic) {
+		t.Errorf("%v: want ErrTimeStream and ErrBadMagic, not ErrStream", err)
+	}
+	if got := telemetry.StreamFrameErrors.Load() - before; got != 1 {
+		t.Errorf("StreamFrameErrors delta = %d; want 1", got)
+	}
+	if _, err2 := tr.ReadFrame(); err2 != err {
+		t.Errorf("ReadFrame after the failure: %v; want %v", err2, err)
+	}
 }
 
 func TestStreamRelativeMode(t *testing.T) {

@@ -120,7 +120,7 @@ var (
 var (
 	StreamFramesWritten   Counter
 	StreamFramesRead      Counter
-	StreamFrameErrors     Counter // malformed/truncated frames seen by Reader
+	StreamFrameErrors     Counter // malformed/truncated/undecodable SZXS and SZXT frames
 	ArchiveFieldsWritten  Counter
 	ArchiveFieldsRead     Counter
 	TimeFramesKey         Counter // self-contained temporal keyframes
@@ -145,7 +145,7 @@ var (
 // waiting for the next frame to finish (head-of-line chunk still
 // compressing or still being read).
 var (
-	PipelineStarts         Counter   // PipeWriter/PipeReader instances started
+	PipelineStarts         Counter   // ring-mode stream writers/readers started (inline mode starts none)
 	PipelineDepths         Histogram // configured ring depth per pipeline start
 	PipelineFramesInFlight Histogram // occupied ring slots, sampled per submission
 	PipelineProducerStalls Histogram // ns the producer waited for a free slot

@@ -78,7 +78,7 @@ var registry = []metric{
 
 	{name: "szx_stream_frames_written_total", help: "Streaming-container frames written.", c: &StreamFramesWritten},
 	{name: "szx_stream_frames_read_total", help: "Streaming-container frames read.", c: &StreamFramesRead},
-	{name: "szx_stream_frame_errors_total", help: "Malformed or truncated streaming frames encountered by Reader.", c: &StreamFrameErrors},
+	{name: "szx_stream_frame_errors_total", help: "Malformed, truncated or undecodable frames in SZXS and SZXT stream containers.", c: &StreamFrameErrors},
 	{name: "szx_archive_fields_written_total", help: "Archive fields compressed and added.", c: &ArchiveFieldsWritten},
 	{name: "szx_archive_fields_read_total", help: "Archive fields decompressed.", c: &ArchiveFieldsRead},
 	{name: "szx_time_frames_total", help: "Temporal-compressor frames, by kind.", labels: `{kind="key"}`, c: &TimeFramesKey},

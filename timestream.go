@@ -1,23 +1,19 @@
 package szx
 
 import (
-	"encoding/binary"
+	"context"
 	"errors"
-	"fmt"
 	"io"
-	"sync"
-
-	"repro/telemetry"
 )
 
-// Pipelined temporal streaming: TimeCompressor frames are inherently
-// sequential (each residual is computed against the previous reconstructed
-// frame), so chunk-level parallelism does not apply — but the I/O still
-// overlaps. TimeStreamWriter hands each compressed frame to an emitter
-// goroutine so frame n+1's residual computation runs while frame n's bytes
-// are in flight to the sink; TimeStreamReader prefetches frames ahead of
-// the decoder the same way. Both ends use a simple length-prefixed
-// container mirroring the value-stream one:
+// Temporal streaming: TimeCompressor frames are inherently sequential
+// (each residual is computed against the previous reconstructed frame), so
+// chunk-level parallelism does not apply — but the I/O still overlaps. The
+// SZXT container runs on the ordered frame engine (pipeline.go) as an
+// ordered stage with a two-frame ring and no workers: the temporal
+// transform runs in frame order on the caller's goroutine while an
+// emitter writes (or a prefetcher reads) the neighbouring frames. The
+// container uses the shared framing (stream.go) with its own magic:
 //
 //	"SZXT" u8(version)
 //	repeat: u32 frameLen | one TimeCompressor frame
@@ -26,26 +22,23 @@ import (
 const (
 	timeStreamMagic   = "SZXT"
 	timeStreamVersion = 1
-	// timeStreamAhead is how many compressed frames the writer (and
-	// prefetching reader) keep in flight; temporal frames are whole
-	// snapshots, so a small window already hides the I/O.
+	// timeStreamAhead is the ring depth of both ends; temporal frames are
+	// whole snapshots, so a small window already hides the I/O.
 	timeStreamAhead = 2
 )
 
 // ErrTimeStream reports a malformed temporal streaming container.
 var ErrTimeStream = errors.New("szx: malformed temporal stream container")
 
+var timeStreamFormat = &frameFormat{timeStreamMagic, timeStreamVersion, ErrTimeStream}
+
 // TimeStreamWriter writes a TimeCompressor frame sequence to w, compressing
 // the next frame while the previous one's bytes are being written. Not safe
 // for concurrent use; Close flushes, writes the terminator, and joins the
 // emitter goroutine.
 type TimeStreamWriter struct {
-	tc     *TimeCompressor
-	w      io.Writer
-	pend   chan []byte
-	done   chan struct{}
-	perr   pipeErr
-	closed bool
+	tc  *TimeCompressor
+	out frameSink
 }
 
 // NewTimeStreamWriter returns a pipelined temporal stream compressor
@@ -55,238 +48,75 @@ func NewTimeStreamWriter(w io.Writer, opt Options) (*TimeStreamWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	tw := &TimeStreamWriter{
-		tc:   tc,
-		w:    w,
-		pend: make(chan []byte, timeStreamAhead),
-		done: make(chan struct{}),
-	}
-	go tw.emitter()
-	if telemetry.Enabled() {
-		telemetry.PipelineStarts.Inc()
-		telemetry.PipelineDepths.Observe(timeStreamAhead)
-	}
+	tw := &TimeStreamWriter{tc: tc}
+	tw.out.init(context.Background(), w, timeStreamFormat, tw.build, timeStreamAhead, 0)
 	return tw, nil
 }
 
-func (tw *TimeStreamWriter) emitter() {
-	defer close(tw.done)
-	var hdr [4]byte
-	first := true
-	for frame := range tw.pend {
-		if tw.perr.get() != nil {
-			continue // drain after failure; first error stays pinned
-		}
-		if first {
-			if _, err := tw.w.Write(append([]byte(timeStreamMagic), timeStreamVersion)); err != nil {
-				tw.perr.set(err)
-				continue
-			}
-			first = false
-		}
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
-		if _, err := tw.w.Write(hdr[:]); err != nil {
-			tw.perr.set(err)
-			continue
-		}
-		if _, err := tw.w.Write(frame); err != nil {
-			tw.perr.set(err)
-			continue
-		}
-		if telemetry.Enabled() {
-			telemetry.StreamFramesWritten.Inc()
-		}
+// build runs the temporal transform on frame s.vals and stages the result.
+func (tw *TimeStreamWriter) build(s *pipeSlot) error {
+	comp, err := tw.tc.CompressFrame(s.vals)
+	if err != nil {
+		return err
 	}
-	if first && tw.perr.get() == nil {
-		// Empty stream: emit the magic so Close's terminator lands in a
-		// well-formed container.
-		if _, err := tw.w.Write(append([]byte(timeStreamMagic), timeStreamVersion)); err != nil {
-			tw.perr.set(err)
-		}
-	}
+	frame, at := timeStreamFormat.openFrame(s.frame[:0], s.seq == 0)
+	s.frame = closeFrame(append(frame, comp...), at)
+	return nil
 }
 
 // WriteFrame compresses the next temporal frame and queues its bytes for
-// emission, returning once the compression (not the write) is done. Frame
-// errors from the emitter surface on a later call or on Close.
+// emission, returning once the compression (not the write) is done. Write
+// errors surface on a later call or on Close.
 func (tw *TimeStreamWriter) WriteFrame(frame []float32) error {
-	if err := tw.perr.get(); err != nil {
+	if err := tw.out.writable(); err != nil {
 		return err
 	}
-	if tw.closed {
-		return errors.New("szx: write after Close")
-	}
-	comp, err := tw.tc.CompressFrame(frame)
-	if err != nil {
-		tw.perr.set(err)
-		// The emitter is still healthy; shut it down on Close as usual.
-		return err
-	}
-	if telemetry.Enabled() {
-		t := telemetry.Start()
-		tw.pend <- comp
-		t.Stop(&telemetry.PipelineProducerStalls)
-		telemetry.PipelineFramesInFlight.Observe(int64(len(tw.pend)))
-	} else {
-		tw.pend <- comp
-	}
-	return nil
+	tw.out.submit(frame)
+	return tw.out.err()
 }
 
 // Close drains the emitter, writes the terminator, and joins the
 // goroutine. It returns the first error the stream hit.
-func (tw *TimeStreamWriter) Close() error {
-	if tw.closed {
-		return tw.perr.get()
-	}
-	tw.closed = true
-	close(tw.pend)
-	<-tw.done
-	if err := tw.perr.get(); err != nil {
-		return err
-	}
-	if _, err := tw.w.Write([]byte{0, 0, 0, 0}); err != nil {
-		tw.perr.set(err)
-		return err
-	}
-	return nil
-}
-
-// timeFrame carries one prefetched compressed frame (or the read error
-// that ended prefetching).
-type timeFrame struct {
-	comp []byte
-	err  error
-}
+func (tw *TimeStreamWriter) Close() error { return tw.out.close() }
 
 // TimeStreamReader reconstructs a TimeStreamWriter sequence, prefetching
 // compressed frames ahead of the (inherently sequential) temporal decoder
-// so the read I/O overlaps frame reconstruction. Not safe for concurrent
-// use; Close releases the prefetcher.
+// so the read I/O overlaps frame reconstruction. Every failure is a
+// *FrameError wrapping ErrTimeStream, except a bad container header, which
+// wraps ErrTimeStream directly. Not safe for concurrent use; Close
+// releases the prefetcher.
 type TimeStreamReader struct {
-	td     *TimeDecompressor
-	pend   chan timeFrame
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	err    error
-	closed bool
+	td *TimeDecompressor
+	in frameSource
 }
 
 // NewTimeStreamReader returns a pipelined temporal stream decompressor
 // reading from r.
 func NewTimeStreamReader(r io.Reader) *TimeStreamReader {
-	tr := &TimeStreamReader{
-		td:   NewTimeDecompressor(),
-		pend: make(chan timeFrame, timeStreamAhead),
-		stop: make(chan struct{}),
-	}
-	tr.wg.Add(1)
-	go tr.prefetch(r)
-	if telemetry.Enabled() {
-		telemetry.PipelineStarts.Inc()
-		telemetry.PipelineDepths.Observe(timeStreamAhead)
-	}
+	tr := &TimeStreamReader{td: NewTimeDecompressor()}
+	tr.in.init(context.Background(), r, timeStreamFormat, tr.decode, timeStreamAhead, 0)
 	return tr
 }
 
-func (tr *TimeStreamReader) deliver(f timeFrame) bool {
-	select {
-	case tr.pend <- f:
-		return true
-	case <-tr.stop:
-		return false
-	}
-}
-
-func (tr *TimeStreamReader) prefetch(r io.Reader) {
-	defer tr.wg.Done()
-	defer close(tr.pend)
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		tr.deliver(timeFrame{err: fmt.Errorf("%w: container header: %w", ErrTimeStream, err)})
-		return
-	}
-	if string(hdr[:4]) != timeStreamMagic || hdr[4] != timeStreamVersion {
-		tr.deliver(timeFrame{err: ErrTimeStream})
-		return
-	}
-	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			tr.deliver(timeFrame{err: fmt.Errorf("%w: truncated frame header: %w", ErrTimeStream, err)})
-			return
-		}
-		frameLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if frameLen == 0 {
-			return // clean terminator
-		}
-		if frameLen > 1<<31 {
-			tr.deliver(timeFrame{err: fmt.Errorf("%w: frame length %d out of range", ErrTimeStream, frameLen)})
-			return
-		}
-		// Each frame travels to the consumer, so it gets its own buffer
-		// (grown incrementally against forged lengths, like readFrameBody).
-		frame, got, err := readFrameBody(r, nil, int(frameLen))
-		if err != nil {
-			tr.deliver(timeFrame{err: fmt.Errorf("%w: truncated frame (%d of %d payload bytes): %w",
-				ErrTimeStream, got, frameLen, err)})
-			return
-		}
-		if !tr.deliver(timeFrame{comp: frame}) {
-			return
-		}
-	}
+// decode reconstructs frame s.frame on the consumer's goroutine, in order.
+func (tr *TimeStreamReader) decode(s *pipeSlot) (err error) {
+	s.vals, err = tr.td.DecompressFrame(s.frame)
+	return err
 }
 
 // ReadFrame reconstructs the next temporal frame, returning io.EOF after
 // the final one.
 func (tr *TimeStreamReader) ReadFrame() ([]float32, error) {
-	if tr.err != nil {
-		return nil, tr.err
-	}
-	var f timeFrame
-	var ok bool
-	if telemetry.Enabled() {
-		t := telemetry.Start()
-		f, ok = <-tr.pend
-		t.Stop(&telemetry.PipelineConsumerStalls)
-	} else {
-		f, ok = <-tr.pend
-	}
-	if !ok {
-		tr.err = io.EOF
-		return nil, io.EOF
-	}
-	if f.err != nil {
-		tr.err = f.err
-		return nil, tr.err
-	}
-	frame, err := tr.td.DecompressFrame(f.comp)
+	s, err := tr.in.next()
 	if err != nil {
-		tr.err = err
 		return nil, err
 	}
-	if telemetry.Enabled() {
-		telemetry.StreamFramesRead.Inc()
-	}
-	return frame, nil
+	return s.vals, nil
 }
 
 // Close abandons the stream and joins the prefetcher. Idempotent; safe
 // after EOF or an error.
 func (tr *TimeStreamReader) Close() error {
-	if tr.closed {
-		return nil
-	}
-	tr.closed = true
-	close(tr.stop)
-	go func() {
-		for range tr.pend { // unblock a prefetcher mid-send and drain
-		}
-	}()
-	tr.wg.Wait()
-	if tr.err == nil {
-		tr.err = errors.New("szx: read after Close")
-	}
+	tr.in.close()
 	return nil
 }

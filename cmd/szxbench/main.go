@@ -12,11 +12,10 @@
 // Observability: -stats enables codec telemetry and prints a counter report
 // to stderr at exit; -stats-http ADDR additionally serves /metrics
 // (Prometheus text), /debug/vars, and /debug/pprof on ADDR while the run is
-// in flight. -obs FILE runs the telemetry-overhead A/B (disabled vs enabled
-// instrumentation, interleaved) and writes BENCH_OBS.json-shaped output.
-// -serve FILE stands up the szxd compression service in-process and drives
-// it with 1/8/64 concurrent clients, writing BENCH_SERVE.json-shaped output
-// (throughput, p50/p99 latency, and 429 shed counts per level).
+// in flight. -serve FILE stands up the szxd compression service in-process
+// and drives it with 1/8/64 concurrent clients, writing
+// BENCH_SERVE.json-shaped output (throughput, p50/p99 latency, and 429 shed
+// counts per level).
 // -kernel FILE microbenchmarks the dispatchable block kernels (generic vs
 // the CPU-dispatched set) and A/Bs the end-to-end serial codec between
 // them, writing BENCH_KERNEL.json-shaped output.
@@ -44,16 +43,15 @@ func main() {
 		only    = flag.String("only", "", "comma-separated artifact ID prefixes to run")
 		mdPath  = flag.String("md", "", "also write a markdown report to this file")
 
-		hotpath   = flag.String("hotpath", "", "run hot-path A/B benchmarks and write JSON snapshot to this file ('-' = stdout)")
-		kernel    = flag.String("kernel", "", "run the per-kernel generic-vs-dispatched sweep and write JSON snapshot to this file ('-' = stdout)")
-		benchtime = flag.Duration("benchtime", 2*time.Second, "per-benchmark target time in -hotpath/-obs mode")
-		obs       = flag.String("obs", "", "run telemetry-overhead A/B benchmarks and write JSON snapshot to this file ('-' = stdout)")
-		ratioOut  = flag.String("ratio", "", "run the fixed-ratio bound-search sweep and write JSON snapshot to this file ('-' = stdout)")
-		serve     = flag.String("serve", "", "run the szxd service load generator (1/8/64 clients) and write JSON snapshot to this file ('-' = stdout)")
+		hotpath      = flag.String("hotpath", "", "run hot-path A/B benchmarks and write JSON snapshot to this file ('-' = stdout)")
+		kernel       = flag.String("kernel", "", "run the per-kernel generic-vs-dispatched sweep and write JSON snapshot to this file ('-' = stdout)")
+		benchtime    = flag.Duration("benchtime", 2*time.Second, "per-benchmark target time in -hotpath mode")
+		ratioOut     = flag.String("ratio", "", "run the fixed-ratio bound-search sweep and write JSON snapshot to this file ('-' = stdout)")
+		serve        = flag.String("serve", "", "run the szxd service load generator (1/8/64 clients) and write JSON snapshot to this file ('-' = stdout)")
 		clusterOut   = flag.String("cluster", "", "run the cluster routing sweep (1 vs 3 nodes, hash/least-loaded/hedged) and write JSON snapshot to this file ('-' = stdout)")
 		clusterNodes = flag.String("cluster-nodes", "", "with -cluster: drive this external comma-separated szxd fleet instead of in-process nodes; any failed request fails the run")
-		stats     = flag.Bool("stats", false, "enable telemetry and print a report to stderr at exit")
-		statsHTTP = flag.String("stats-http", "", "enable telemetry and serve /metrics, /debug/vars, /debug/pprof on this address")
+		stats        = flag.Bool("stats", false, "enable telemetry and print a report to stderr at exit")
+		statsHTTP    = flag.String("stats-http", "", "enable telemetry and serve /metrics, /debug/vars, /debug/pprof on this address")
 	)
 	flag.Parse()
 
@@ -90,13 +88,6 @@ func main() {
 	}
 	if *ratioOut != "" {
 		if err := runRatio(*ratioOut, *scale, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "szxbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *obs != "" {
-		if err := runObs(*obs, *benchtime); err != nil {
 			fmt.Fprintf(os.Stderr, "szxbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -211,14 +211,13 @@ func TestTelemetryEngineCounters(t *testing.T) {
 	if _, err := DecompressParallelInto[float32](nil, comp, 4); err != nil {
 		t.Fatal(err)
 	}
-	s := telemetry.Snap()
-	if s.Engine.CompressFallback != 1 || s.Engine.CompressSerial != 1 || s.Engine.CompressParallel != 0 {
+	if telemetry.EngineCompressFallback.Load() != 1 || telemetry.EngineCompressSerial.Load() != 1 || telemetry.EngineCompressParallel.Load() != 0 {
 		t.Errorf("small compress: fallback=%d serial=%d parallel=%d; want 1,1,0",
-			s.Engine.CompressFallback, s.Engine.CompressSerial, s.Engine.CompressParallel)
+			telemetry.EngineCompressFallback.Load(), telemetry.EngineCompressSerial.Load(), telemetry.EngineCompressParallel.Load())
 	}
-	if s.Engine.DecompressFallback != 1 || s.Engine.DecompressSerial != 1 || s.Engine.DecompressParallel != 0 {
+	if telemetry.EngineDecompressFallback.Load() != 1 || telemetry.EngineDecompressSerial.Load() != 1 || telemetry.EngineDecompressParallel.Load() != 0 {
 		t.Errorf("small decompress: fallback=%d serial=%d parallel=%d; want 1,1,0",
-			s.Engine.DecompressFallback, s.Engine.DecompressSerial, s.Engine.DecompressParallel)
+			telemetry.EngineDecompressFallback.Load(), telemetry.EngineDecompressSerial.Load(), telemetry.EngineDecompressParallel.Load())
 	}
 
 	// Force the engine (policy disabled) on a multi-chunk input.
@@ -239,37 +238,35 @@ func TestTelemetryEngineCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s = telemetry.Snap()
-	if s.Engine.CompressParallel != 1 || s.Engine.CompressFallback != 0 || s.Engine.CompressSerial != 0 {
+	if telemetry.EngineCompressParallel.Load() != 1 || telemetry.EngineCompressFallback.Load() != 0 || telemetry.EngineCompressSerial.Load() != 0 {
 		t.Errorf("forced compress: parallel=%d fallback=%d serial=%d; want 1,0,0",
-			s.Engine.CompressParallel, s.Engine.CompressFallback, s.Engine.CompressSerial)
+			telemetry.EngineCompressParallel.Load(), telemetry.EngineCompressFallback.Load(), telemetry.EngineCompressSerial.Load())
 	}
-	if got := s.Parallel.ChunksOwned + s.Parallel.ChunksStolen; got != int64(nchunks) {
+	if got := telemetry.ParallelChunksOwned.Load() + telemetry.ParallelChunksStolen.Load(); got != int64(nchunks) {
 		t.Errorf("compress chunks owned+stolen = %d; want %d", got, nchunks)
 	}
-	if s.Parallel.Participants < 1 || s.Parallel.ActiveWorkers < 1 ||
-		s.Parallel.ActiveWorkers > s.Parallel.Participants {
+	if telemetry.ParallelParticipants.Load() < 1 || telemetry.ParallelActiveWorkers.Load() < 1 ||
+		telemetry.ParallelActiveWorkers.Load() > telemetry.ParallelParticipants.Load() {
 		t.Errorf("participants=%d active=%d; want 1 <= active <= participants",
-			s.Parallel.Participants, s.Parallel.ActiveWorkers)
+			telemetry.ParallelParticipants.Load(), telemetry.ParallelActiveWorkers.Load())
 	}
-	if got := s.Blocks.Constant + s.Blocks.NonConstant; got != int64(nb) {
+	if got := telemetry.BlocksConstant.Load() + telemetry.BlocksNonConstant.Load(); got != int64(nb) {
 		t.Errorf("blocks tallied = %d; want %d", got, nb)
 	}
 
 	if _, err := DecompressParallelInto[float32](nil, comp, w); err != nil {
 		t.Fatal(err)
 	}
-	s = telemetry.Snap()
-	if s.Engine.DecompressParallel != 1 || s.Engine.DecompressFallback != 0 || s.Engine.DecompressSerial != 0 {
+	if telemetry.EngineDecompressParallel.Load() != 1 || telemetry.EngineDecompressFallback.Load() != 0 || telemetry.EngineDecompressSerial.Load() != 0 {
 		t.Errorf("forced decompress: parallel=%d fallback=%d serial=%d; want 1,0,0",
-			s.Engine.DecompressParallel, s.Engine.DecompressFallback, s.Engine.DecompressSerial)
+			telemetry.EngineDecompressParallel.Load(), telemetry.EngineDecompressFallback.Load(), telemetry.EngineDecompressSerial.Load())
 	}
 	// Compress claims chunks once (encode phase); decompress claims the same
 	// chunk count once more.
-	if got := s.Parallel.ChunksOwned + s.Parallel.ChunksStolen; got != int64(2*nchunks) {
+	if got := telemetry.ParallelChunksOwned.Load() + telemetry.ParallelChunksStolen.Load(); got != int64(2*nchunks) {
 		t.Errorf("chunks owned+stolen after decompress = %d; want %d", got, 2*nchunks)
 	}
-	if got := s.Blocks.DecodedConstant + s.Blocks.DecodedNonConstant; got != int64(nb) {
+	if got := telemetry.DecodedBlocksConstant.Load() + telemetry.DecodedBlocksNonConstant.Load(); got != int64(nb) {
 		t.Errorf("blocks decoded = %d; want %d", got, nb)
 	}
 }
@@ -325,20 +322,19 @@ func TestTelemetryParallelRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := telemetry.Snap()
 	calls := int64(goroutines * iters)
-	if got := s.Blocks.Constant + s.Blocks.NonConstant; got != calls*int64(nb) {
+	if got := telemetry.BlocksConstant.Load() + telemetry.BlocksNonConstant.Load(); got != calls*int64(nb) {
 		t.Errorf("blocks tallied = %d; want %d", got, calls*int64(nb))
 	}
-	if got := s.Blocks.DecodedConstant + s.Blocks.DecodedNonConstant; got != calls*int64(nb) {
+	if got := telemetry.DecodedBlocksConstant.Load() + telemetry.DecodedBlocksNonConstant.Load(); got != calls*int64(nb) {
 		t.Errorf("blocks decoded = %d; want %d", got, calls*int64(nb))
 	}
-	if s.Engine.CompressParallel != calls || s.Engine.DecompressParallel != calls {
+	if telemetry.EngineCompressParallel.Load() != calls || telemetry.EngineDecompressParallel.Load() != calls {
 		t.Errorf("engine engagements compress=%d decompress=%d; want %d each",
-			s.Engine.CompressParallel, s.Engine.DecompressParallel, calls)
+			telemetry.EngineCompressParallel.Load(), telemetry.EngineDecompressParallel.Load(), calls)
 	}
-	if s.Compress.BytesIn != calls*4*n {
-		t.Errorf("compress bytes in = %d; want %d", s.Compress.BytesIn, calls*4*n)
+	if telemetry.CompressBytesIn.Load() != calls*4*n {
+		t.Errorf("compress bytes in = %d; want %d", telemetry.CompressBytesIn.Load(), calls*4*n)
 	}
 }
 

@@ -76,15 +76,6 @@ else
     ' "$A" "$B" | sort
 fi
 
-# Wall-clock breakdown for the working tree: szxbench -obs interleaves
-# telemetry-disabled/enabled rounds on the serial hot paths and reports the
-# per-stage means from the telemetry timers alongside the overhead numbers,
-# so an A/B run also says *where* the time goes. Skip with BENCH_OBS=0.
-if [[ "${BENCH_OBS:-1}" != 0 ]]; then
-    echo "bench_ab: telemetry overhead + stage breakdown (working tree)" >&2
-    go run ./cmd/szxbench -obs - -benchtime "$BENCHTIME"
-fi
-
 # Service A/B: the szxd load generator (the BENCH_SERVE.json workload) run
 # interleaved between the baseline worktree and the working tree, same
 # A,B,A,B discipline as the codec benchmarks. The headline comparison is

@@ -114,7 +114,8 @@ type ClusterConfig struct {
 type clusterNode struct {
 	addr        string
 	c           *Client
-	outstanding atomic.Int64 // requests this client has in flight there
+	requests    *telemetry.Counter // szx_cluster_node_requests_total{node=addr}
+	outstanding atomic.Int64       // requests this client has in flight there
 }
 
 // ClusterClient fans a Client's API out over a fleet of szxd nodes: it
@@ -168,7 +169,8 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 			// Per-node clients are retry-free on purpose: the cluster layer
 			// retries across nodes, which beats hammering the node that
 			// just shed us.
-			c: New(addr, WithHTTPClient(hc)),
+			c:        New(addr, WithHTTPClient(hc)),
+			requests: telemetry.ClusterNodeRequests(addr),
 		})
 	}
 	if len(cc.nodes) == 0 {
@@ -325,7 +327,7 @@ func (cc *ClusterClient) hedgeDelay() time.Duration {
 func clusterRun[T any](cc *ClusterClient, ctx context.Context, n *clusterNode, op func(context.Context, *Client) (T, error)) (T, error) {
 	n.outstanding.Add(1)
 	defer n.outstanding.Add(-1)
-	telemetry.ClusterNodeRequests(n.addr).Inc()
+	n.requests.Inc()
 	start := time.Now()
 	v, err := op(ctx, n.c)
 	if err == nil {

@@ -42,9 +42,9 @@
 // required-bit and leading-byte-code distributions, engine selection, the
 // work-stealing engine's internals, and per-stage wall times — behind a
 // single opt-in gate (telemetry.Enable). Disabled, the instrumentation
-// costs one atomic load per call. Snapshots export as a struct, expvar
-// JSON, or Prometheus text; cmd/szx and cmd/szxbench expose them via
-// -stats and -stats-http.
+// costs one atomic load per call. Metrics export as Prometheus text, expvar
+// JSON, or a text report, all rendered from one registry; cmd/szx and
+// cmd/szxbench expose them via -stats and -stats-http.
 package szx
 
 import (

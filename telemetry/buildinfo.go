@@ -10,8 +10,8 @@ import (
 // correlate performance shifts with deploys: which module version is
 // serving, which Go toolchain built it, and which block-kernel set dispatch
 // selected on this host. It is exported on every surface — the
-// szx_build_info Prometheus series, Snap().Build (and therefore expvar),
-// and the -stats text report.
+// szx_build_info series on /metrics and in Snap (and therefore expvar),
+// and the header of the -stats text report.
 type BuildInfo struct {
 	Module    string `json:"module"`
 	Version   string `json:"version"`

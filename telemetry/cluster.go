@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -37,12 +36,12 @@ var (
 	// Failure-detector state: instantaneous peer counts per state, and
 	// cumulative transitions into each state (a flapping peer shows up as a
 	// high transition rate with a steady state gauge).
-	ClusterPeersAlive   Gauge
-	ClusterPeersSuspect Gauge
-	ClusterPeersDead    Gauge
-	ClusterPeerToAlive  Counter
+	ClusterPeersAlive    Gauge
+	ClusterPeersSuspect  Gauge
+	ClusterPeersDead     Gauge
+	ClusterPeerToAlive   Counter
 	ClusterPeerToSuspect Counter
-	ClusterPeerToDead   Counter
+	ClusterPeerToDead    Counter
 
 	// Membership poll rounds completed.
 	ClusterPolls Counter
@@ -51,8 +50,7 @@ var (
 // clusterNodes is the per-node request tally: one counter per node address,
 // created on first use. Node sets are dynamic (they come from -peers or a
 // ClusterClient's node list at runtime), so this family lives outside the
-// static registry and is exported by the same dynamic-label mechanism as
-// szx_build_info.
+// static registry; the registry walk appends it after the static families.
 var clusterNodes struct {
 	mu sync.Mutex
 	m  map[string]*Counter
@@ -60,7 +58,8 @@ var clusterNodes struct {
 
 // ClusterNodeRequests returns the request counter for one node address,
 // creating it on first use. The address becomes the `node` label of the
-// szx_cluster_node_requests_total series.
+// szx_cluster_node_requests_total series. The counter lives for the
+// process (Reset zeroes it in place), so callers may hold it.
 func ClusterNodeRequests(node string) *Counter {
 	clusterNodes.mu.Lock()
 	defer clusterNodes.mu.Unlock()
@@ -75,49 +74,30 @@ func ClusterNodeRequests(node string) *Counter {
 	return c
 }
 
-// clusterNodeSnapshot copies the per-node tallies (addresses with zero
-// counts included: a node that was registered but never routed to is
-// signal, not noise).
-func clusterNodeSnapshot() map[string]int64 {
+// clusterNodeSeries reads the per-node tallies in node order (addresses
+// with zero counts included: a node that was registered but never routed
+// to is signal, not noise).
+func clusterNodeSeries() []series {
 	clusterNodes.mu.Lock()
 	defer clusterNodes.mu.Unlock()
-	if len(clusterNodes.m) == 0 {
-		return nil
+	nodes := make([]string, 0, len(clusterNodes.m))
+	for k := range clusterNodes.m {
+		nodes = append(nodes, k)
 	}
-	out := make(map[string]int64, len(clusterNodes.m))
-	for k, c := range clusterNodes.m {
-		out[k] = c.Load()
+	sort.Strings(nodes)
+	out := make([]series, len(nodes))
+	for i, k := range nodes {
+		out[i] = series{labels: fmt.Sprintf("{node=%q}", k), value: clusterNodes.m[k].Load()}
 	}
 	return out
 }
 
+// resetClusterNodes zeroes the per-node counters in place: the node labels
+// stay exported, and counters callers hold stay live.
 func resetClusterNodes() {
 	clusterNodes.mu.Lock()
 	defer clusterNodes.mu.Unlock()
-	clusterNodes.m = nil
-}
-
-// writePromClusterNodes emits the dynamic szx_cluster_node_requests_total
-// family in sorted label order (callers hold the scrape lock).
-func writePromClusterNodes(w io.Writer) error {
-	snap := clusterNodeSnapshot()
-	if len(snap) == 0 {
-		return nil
+	for _, c := range clusterNodes.m {
+		c.reset()
 	}
-	if _, err := fmt.Fprint(w,
-		"# HELP szx_cluster_node_requests_total Requests dispatched per cluster node by this process.\n"+
-			"# TYPE szx_cluster_node_requests_total counter\n"); err != nil {
-		return err
-	}
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "szx_cluster_node_requests_total{node=%q} %d\n", k, snap[k]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // The codec metric set. Each var is one observable; the registry in
-// prometheus.go binds them to exposition names and help strings, and
-// snapshot.go assembles them into the typed Snapshot.
+// prometheus.go binds them to exposition names and help strings, and every
+// export surface renders from that registry.
 
 // Call-level compression/decompression totals.
 var (
@@ -47,8 +47,8 @@ var (
 )
 
 // kernelImpl/kernelDetail hold the dispatch decision (the impl name and the
-// human-readable form, e.g. "avx2 (cpu feature detection)") for snapshots,
-// reports, and re-assertion after Reset.
+// human-readable form, e.g. "avx2 (cpu feature detection)") for the build
+// info and for re-assertion after Reset.
 var (
 	kernelImpl   atomic.Value
 	kernelDetail atomic.Value

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"expvar"
 	"fmt"
 	"io"
@@ -11,7 +12,7 @@ import (
 )
 
 // metric binds one exported observable to its Prometheus identity. Exactly
-// one of c/h/b is non-nil. Counters sharing a name (labeled series) must be
+// one of c/g/h/b is non-nil. Counters sharing a name (labeled series) must be
 // adjacent in the registry so HELP/TYPE headers are emitted once.
 type metric struct {
 	name   string // Prometheus metric family name
@@ -25,6 +26,9 @@ type metric struct {
 	blabel string  // BitHist label key
 }
 
+// registry is the one list of exported metrics. Every surface renders from
+// it (see families) and Reset walks it, so adding a metric is one var plus
+// one entry here; no other code names it.
 var registry = []metric{
 	{name: "szx_compress_calls_total", help: "Compression calls completed.", c: &CompressCalls},
 	{name: "szx_compress_input_bytes_total", help: "Uncompressed bytes consumed by compression.", c: &CompressBytesIn},
@@ -134,13 +138,85 @@ var registry = []metric{
 	{name: "szx_cluster_polls_total", help: "Membership poll rounds completed.", c: &ClusterPolls},
 }
 
-// scrapeMu serializes whole-page exports against Reset. Exports (scrapes,
-// Snap) take the read side, so concurrent scrapes still run in parallel;
-// Reset takes the write side, so a page is never assembled half-before,
-// half-after a reset — without the lock a scrape could emit a histogram
-// whose cumulative buckets exceed its own +Inf count (a torn page that
-// Prometheus rejects). Individual Observe/Inc calls stay lock-free; the
-// per-value races they permit are monotonic and harmless.
+func (m metric) typ() string {
+	switch {
+	case m.h != nil:
+		return "histogram"
+	case m.g != nil:
+		return "gauge"
+	}
+	return "counter"
+}
+
+// A family is one exported metric family as the registry walk reads it:
+// its Prometheus identity and the series it holds at the moment of the
+// read.
+type family struct {
+	name, help, typ string
+	scale           float64 // histograms: value multiplier on export
+	series          []series
+}
+
+// A series is one labeled sample of a family. Counters and gauges carry
+// value; a histogram's single series carries hist.
+type series struct {
+	labels string // pre-rendered label set, e.g. `{code="0"}`, or ""
+	value  int64
+	hist   HistogramSnapshot
+}
+
+// buildInfoName is the info-style family whose labels carry the binary's
+// identity; Report renders it as its header line.
+const buildInfoName = "szx_build_info"
+
+// families reads every exported metric in exposition order: szx_build_info,
+// the registry, then the per-node cluster family. It is the one walk every
+// export surface — WritePrometheus, Snap (and so expvar) and Report —
+// renders from, so a metric is exported by its registry entry alone.
+func families() []family {
+	scrapeMu.RLock()
+	defer scrapeMu.RUnlock()
+	bi := GetBuildInfo()
+	fams := []family{{
+		name: buildInfoName, typ: "gauge",
+		help: "Build identity of this binary; the value is always 1.",
+		series: []series{{value: 1, labels: fmt.Sprintf("{version=%q,revision=%q,goversion=%q,kernels=%q}",
+			bi.Version, bi.VCSRev, bi.GoVersion, bi.Kernels)}},
+	}}
+	for _, m := range registry {
+		if fams[len(fams)-1].name != m.name {
+			fams = append(fams, family{name: m.name, help: m.help, typ: m.typ(), scale: m.scale})
+		}
+		f := &fams[len(fams)-1]
+		switch {
+		case m.c != nil:
+			f.series = append(f.series, series{labels: m.labels, value: m.c.Load()})
+		case m.g != nil:
+			f.series = append(f.series, series{labels: m.labels, value: m.g.Load()})
+		case m.h != nil:
+			f.series = append(f.series, series{hist: m.h.Snapshot()})
+		case m.b != nil:
+			for i := range m.b.buckets {
+				if n := m.b.buckets[i].Load(); n != 0 {
+					f.series = append(f.series, series{labels: fmt.Sprintf("{%s=\"%d\"}", m.blabel, i), value: n})
+				}
+			}
+		}
+	}
+	if nodes := clusterNodeSeries(); len(nodes) > 0 {
+		fams = append(fams, family{name: "szx_cluster_node_requests_total", typ: "counter",
+			help: "Requests dispatched per cluster node by this process.", series: nodes})
+	}
+	return fams
+}
+
+// scrapeMu orders whole-registry reads against Reset. The walk takes the
+// read side, so concurrent scrapes still run in parallel; Reset takes the
+// write side, so a read sees every metric either before or after a reset,
+// never a mix (e.g. the kernel-dispatch pair with neither series at 1).
+// It does not order reads against Observe/Inc, which stay lock-free: a
+// histogram's page is self-consistent because its +Inf bucket and count
+// are the sum of the bucket values the same read loaded.
 var scrapeMu sync.RWMutex
 
 // WritePrometheus emits every metric in the Prometheus text exposition
@@ -148,115 +224,35 @@ var scrapeMu sync.RWMutex
 // where a family is split by type/engine/code), Histograms become native
 // `histogram` families with power-of-two `le` buckets, and the BitHist
 // becomes a labeled counter family with one series per observed bit count.
-// The page is assembled under the scrape lock, so a concurrent Reset can
-// never tear it.
 func WritePrometheus(w io.Writer) error {
-	scrapeMu.RLock()
-	defer scrapeMu.RUnlock()
-	if err := writePromBuildInfo(w); err != nil {
-		return err
-	}
-	prevName := ""
-	for _, m := range registry {
-		if m.name != prevName {
-			if m.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
-					return err
-				}
-			}
-			typ := "counter"
-			switch {
-			case m.h != nil:
-				typ = "histogram"
-			case m.g != nil:
-				typ = "gauge"
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, typ); err != nil {
-				return err
-			}
-			prevName = m.name
+	var b bytes.Buffer
+	for _, f := range families() {
+		if f.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		}
-		var err error
-		switch {
-		case m.c != nil:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.c.Load())
-		case m.g != nil:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.g.Load())
-		case m.h != nil:
-			err = writePromHistogram(w, m)
-		case m.b != nil:
-			err = writePromBitHist(w, m)
-		}
-		if err != nil {
-			return err
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
+		for _, s := range f.series {
+			if f.typ == "histogram" {
+				writePromHistogram(&b, f, s.hist)
+			} else {
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.value)
+			}
 		}
 	}
-	return writePromClusterNodes(w)
-}
-
-// writePromBuildInfo emits the szx_build_info series: a constant-1 gauge
-// whose labels carry the binary's identity (module version, Go toolchain,
-// active kernel set), the conventional info-metric shape for joining perf
-// shifts to deploys. Labels are dynamic, so it lives outside the static
-// registry.
-func writePromBuildInfo(w io.Writer) error {
-	bi := GetBuildInfo()
-	if _, err := fmt.Fprint(w,
-		"# HELP szx_build_info Build identity of this binary; the value is always 1.\n"+
-			"# TYPE szx_build_info gauge\n"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "szx_build_info{version=%q,revision=%q,goversion=%q,kernels=%q} 1\n",
-		bi.Version, bi.VCSRev, bi.GoVersion, bi.Kernels)
+	_, err := w.Write(b.Bytes())
 	return err
 }
 
-func writePromHistogram(w io.Writer, m metric) error {
+func writePromHistogram(b *bytes.Buffer, f family, h HistogramSnapshot) {
 	cum := int64(0)
-	for i := 0; i < histBuckets; i++ {
-		n := m.h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		cum += n
-		// Upper bound of bucket i is 2^i - 1 in raw units (bit length ≤ i);
-		// export 2^i for readable power-of-two le values (still a valid
-		// upper bound, and monotonically increasing).
-		le := float64(int64(1) << uint(i))
-		if i == 0 {
-			le = 0
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.name, formatLe(le*m.scale), cum); err != nil {
-			return err
-		}
+	for _, bk := range h.Buckets {
+		cum += bk.Count
+		le := strconv.FormatFloat(float64(bk.Le)*f.scale, 'g', -1, 64)
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", f.name, le, cum)
 	}
-	count := m.h.count.Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", m.name, count); err != nil {
-		return err
-	}
-	sum := float64(m.h.sum.Load()) * m.scale
-	if _, err := fmt.Fprintf(w, "%s_sum %g\n", m.name, sum); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", m.name, count)
-	return err
-}
-
-func formatLe(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func writePromBitHist(w io.Writer, m metric) error {
-	for i := range m.b.buckets {
-		n := m.b.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%s{%s=\"%d\"} %d\n", m.name, m.blabel, i, n); err != nil {
-			return err
-		}
-	}
-	return nil
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", f.name, h.Count)
+	fmt.Fprintf(b, "%s_sum %g\n", f.name, float64(h.Sum)*f.scale)
+	fmt.Fprintf(b, "%s_count %d\n", f.name, h.Count)
 }
 
 // Handler serves the Prometheus text exposition (a /metrics endpoint).
@@ -269,7 +265,7 @@ func Handler() http.Handler {
 
 // DebugHandler bundles every HTTP export surface on one mux: /metrics
 // (Prometheus text), /debug/vars (expvar JSON, including the "szx"
-// snapshot), and /debug/pprof (CPU/heap/goroutine profiles; CPU samples
+// series map), and /debug/pprof (CPU/heap/goroutine profiles; CPU samples
 // carry szx_stage labels when telemetry is enabled). This is what the
 // -stats-http flag of cmd/szx and cmd/szxbench serves.
 func DebugHandler() http.Handler {
@@ -287,9 +283,9 @@ func DebugHandler() http.Handler {
 
 var expvarOnce sync.Once
 
-// PublishExpvar publishes the telemetry snapshot under the expvar key
-// "szx" (visible at /debug/vars). Safe to call multiple times; only the
-// first call registers.
+// PublishExpvar publishes Snap under the expvar key "szx" (visible at
+// /debug/vars). Safe to call multiple times; only the first call
+// registers.
 func PublishExpvar() {
 	expvarOnce.Do(func() {
 		expvar.Publish("szx", expvar.Func(func() any { return Snap() }))

@@ -2,303 +2,43 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// SideSnapshot summarizes one direction (compress or decompress).
-type SideSnapshot struct {
-	Calls     int64             `json:"calls"`
-	BytesIn   int64             `json:"bytes_in"`
-	BytesOut  int64             `json:"bytes_out"`
-	Ratio     float64           `json:"ratio"` // uncompressed / compressed
-	Durations HistogramSnapshot `json:"durations_ns"`
+// histValue is a histogram's value in Snap, in the family's exported unit
+// (seconds for the duration families): the count and sum /metrics carries,
+// plus the max-exemplar pair ObserveExemplar records, which links the
+// worst observation back to its trace.
+type histValue struct {
+	Count      int64   `json:"count"`
+	Sum        float64 `json:"sum"`
+	Max        float64 `json:"max,omitempty"`
+	MaxTraceID string  `json:"max_trace_id,omitempty"`
 }
 
-// BlocksSnapshot summarizes the block-level encoder/decoder statistics.
-type BlocksSnapshot struct {
-	Constant           int64         `json:"constant"`
-	NonConstant        int64         `json:"nonconstant"`
-	Lossless           int64         `json:"lossless"`
-	GuardRetries       int64         `json:"guard_retries"`
-	DecodedConstant    int64         `json:"decoded_constant"`
-	DecodedNonConstant int64         `json:"decoded_nonconstant"`
-	LeadCodes          [4]int64      `json:"lead_codes"`
-	ReqLenBits         map[int]int64 `json:"reqlen_bits"`
-}
-
-// KernelSnapshot summarizes the block-kernel layer: the dispatch decision
-// and per-kernel invocation totals.
-type KernelSnapshot struct {
-	Dispatched  string `json:"dispatched"`
-	Stats       int64  `json:"stats_calls"`
-	EncodeScans int64  `json:"encode_scan_calls"`
-	DecodeScans int64  `json:"decode_scan_calls"`
-}
-
-// EngineSnapshot summarizes serial-vs-parallel engine selection.
-type EngineSnapshot struct {
-	CompressSerial     int64 `json:"compress_serial"`
-	CompressFallback   int64 `json:"compress_fallback"`
-	CompressParallel   int64 `json:"compress_parallel"`
-	DecompressSerial   int64 `json:"decompress_serial"`
-	DecompressFallback int64 `json:"decompress_fallback"`
-	DecompressParallel int64 `json:"decompress_parallel"`
-}
-
-// ParallelSnapshot exposes the work-stealing engine internals.
-type ParallelSnapshot struct {
-	ChunksOwned     int64             `json:"chunks_owned"`
-	ChunksStolen    int64             `json:"chunks_stolen"`
-	Participants    int64             `json:"participants"`
-	ActiveWorkers   int64             `json:"active_workers"`
-	Utilization     float64           `json:"utilization"` // active / participants
-	ChunksPerWorker HistogramSnapshot `json:"chunks_per_worker"`
-	EncodePhase     HistogramSnapshot `json:"encode_phase_ns"`
-	GatherPhase     HistogramSnapshot `json:"gather_phase_ns"`
-}
-
-// PipelineSnapshot exposes the pipelined streaming engine internals.
-type PipelineSnapshot struct {
-	Starts         int64             `json:"starts"`
-	Depths         HistogramSnapshot `json:"depths"`
-	FramesInFlight HistogramSnapshot `json:"frames_in_flight"`
-	ProducerStalls HistogramSnapshot `json:"producer_stall_ns"`
-	ConsumerStalls HistogramSnapshot `json:"consumer_stall_ns"`
-}
-
-// ContainersSnapshot summarizes the stream/archive/temporal layers.
-type ContainersSnapshot struct {
-	StreamFramesWritten   int64 `json:"stream_frames_written"`
-	StreamFramesRead      int64 `json:"stream_frames_read"`
-	StreamFrameErrors     int64 `json:"stream_frame_errors"`
-	ArchiveFieldsWritten  int64 `json:"archive_fields_written"`
-	ArchiveFieldsRead     int64 `json:"archive_fields_read"`
-	TimeFramesKey         int64 `json:"time_frames_key"`
-	TimeFramesDelta       int64 `json:"time_frames_delta"`
-	TimeKeyframeFallbacks int64 `json:"time_keyframe_fallbacks"`
-	RelativeBoundResolves int64 `json:"relative_bound_resolves"`
-}
-
-// RatioSnapshot summarizes the fixed-ratio (TargetRatio) bound searches.
-type RatioSnapshot struct {
-	Searches    int64 `json:"searches"`
-	Probes      int64 `json:"probes"`
-	Reestimates int64 `json:"reestimates"`
-	Unconverged int64 `json:"unconverged"`
-}
-
-// ServiceSnapshot summarizes the compression service (service/ + cmd/szxd).
-type ServiceSnapshot struct {
-	RequestsCompress         int64             `json:"requests_compress"`
-	RequestsDecompress       int64             `json:"requests_decompress"`
-	RequestsStreamCompress   int64             `json:"requests_stream_compress"`
-	RequestsStreamDecompress int64             `json:"requests_stream_decompress"`
-	BytesIn                  int64             `json:"bytes_in"`
-	BytesOut                 int64             `json:"bytes_out"`
-	RejectedQueueFull        int64             `json:"rejected_queue_full"`
-	RejectedWaitTimeout      int64             `json:"rejected_wait_timeout"`
-	RejectedDraining         int64             `json:"rejected_draining"`
-	BadRequests              int64             `json:"bad_requests"`
-	Cancelled                int64             `json:"cancelled"`
-	InFlight                 int64             `json:"in_flight"`
-	QueueDepth               int64             `json:"queue_depth"`
-	QueueWaits               HistogramSnapshot `json:"queue_wait_ns"`
-	RequestDurations         HistogramSnapshot `json:"request_duration_ns"`
-}
-
-// BatchSnapshot summarizes the batch endpoints and client-side coalescing.
-type BatchSnapshot struct {
-	RequestsCompress   int64             `json:"requests_compress"`
-	RequestsDecompress int64             `json:"requests_decompress"`
-	Arrays             int64             `json:"arrays"`
-	ArrayErrors        int64             `json:"array_errors"`
-	ArraysPerRequest   HistogramSnapshot `json:"arrays_per_request"`
-	ArrayBytes         HistogramSnapshot `json:"array_bytes"`
-	CoalescedCalls     int64             `json:"coalesced_calls"`
-	CoalesceWaits      HistogramSnapshot `json:"coalesce_wait_ns"`
-}
-
-// ClusterSnapshot summarizes cluster routing, hedging/retry, and the
-// membership failure detector (service/cluster + the client-side
-// ClusterClient).
-type ClusterSnapshot struct {
-	RoutedHash        int64            `json:"routed_hash"`
-	RoutedLeastLoaded int64            `json:"routed_least_loaded"`
-	RoutedOrdered     int64            `json:"routed_ordered"`
-	RoutedFallback    int64            `json:"routed_fallback"`
-	HedgesFired       int64            `json:"hedges_fired"`
-	HedgesWon         int64            `json:"hedges_won"`
-	Retries           int64            `json:"retries"`
-	HedgeBudgetDenied int64            `json:"hedge_budget_denied"`
-	RetryBudgetDenied int64            `json:"retry_budget_denied"`
-	PeersAlive        int64            `json:"peers_alive"`
-	PeersSuspect      int64            `json:"peers_suspect"`
-	PeersDead         int64            `json:"peers_dead"`
-	PeerToAlive       int64            `json:"peer_to_alive"`
-	PeerToSuspect     int64            `json:"peer_to_suspect"`
-	PeerToDead        int64            `json:"peer_to_dead"`
-	Polls             int64            `json:"polls"`
-	NodeRequests      map[string]int64 `json:"node_requests,omitempty"`
-}
-
-// Snapshot is a point-in-time copy of every metric.
-type Snapshot struct {
-	Enabled    bool               `json:"enabled"`
-	Build      BuildInfo          `json:"build"`
-	Compress   SideSnapshot       `json:"compress"`
-	Decompress SideSnapshot       `json:"decompress"`
-	Blocks     BlocksSnapshot     `json:"blocks"`
-	Kernels    KernelSnapshot     `json:"kernels"`
-	Engine     EngineSnapshot     `json:"engine"`
-	Parallel   ParallelSnapshot   `json:"parallel"`
-	Pipeline   PipelineSnapshot   `json:"pipeline"`
-	Containers ContainersSnapshot `json:"containers"`
-	Ratio      RatioSnapshot      `json:"ratio"`
-	Service    ServiceSnapshot    `json:"service"`
-	Batch      BatchSnapshot      `json:"batch"`
-	Cluster    ClusterSnapshot    `json:"cluster"`
-}
-
-// Snap assembles a Snapshot of the current metric values. The copy is not
-// a consistent cut across metrics (each value is loaded independently),
-// which is the usual, and sufficient, contract for scrape-style export —
-// but it is taken under the scrape lock's read side, so a concurrent Reset
-// can never interleave mid-snapshot.
-func Snap() Snapshot {
-	scrapeMu.RLock()
-	defer scrapeMu.RUnlock()
-	s := Snapshot{
-		Enabled: Enabled(),
-		Build:   GetBuildInfo(),
-		Compress: SideSnapshot{
-			Calls:     CompressCalls.Load(),
-			BytesIn:   CompressBytesIn.Load(),
-			BytesOut:  CompressBytesOut.Load(),
-			Durations: CompressDurations.Snapshot(),
-		},
-		Decompress: SideSnapshot{
-			Calls:     DecompressCalls.Load(),
-			BytesIn:   DecompressBytesIn.Load(),
-			BytesOut:  DecompressBytesOut.Load(),
-			Durations: DecompressDurations.Snapshot(),
-		},
-		Blocks: BlocksSnapshot{
-			Constant:           BlocksConstant.Load(),
-			NonConstant:        BlocksNonConstant.Load(),
-			Lossless:           BlocksLossless.Load(),
-			GuardRetries:       GuardRetries.Load(),
-			DecodedConstant:    DecodedBlocksConstant.Load(),
-			DecodedNonConstant: DecodedBlocksNonConstant.Load(),
-			ReqLenBits:         ReqLenBits.Snapshot(),
-		},
-		Kernels: KernelSnapshot{
-			Dispatched:  KernelDispatchDetail(),
-			Stats:       KernelStatsCalls.Load(),
-			EncodeScans: KernelEncodeScanCalls.Load(),
-			DecodeScans: KernelDecodeScanCalls.Load(),
-		},
-		Engine: EngineSnapshot{
-			CompressSerial:     EngineCompressSerial.Load(),
-			CompressFallback:   EngineCompressFallback.Load(),
-			CompressParallel:   EngineCompressParallel.Load(),
-			DecompressSerial:   EngineDecompressSerial.Load(),
-			DecompressFallback: EngineDecompressFallback.Load(),
-			DecompressParallel: EngineDecompressParallel.Load(),
-		},
-		Parallel: ParallelSnapshot{
-			ChunksOwned:     ParallelChunksOwned.Load(),
-			ChunksStolen:    ParallelChunksStolen.Load(),
-			Participants:    ParallelParticipants.Load(),
-			ActiveWorkers:   ParallelActiveWorkers.Load(),
-			ChunksPerWorker: ParallelChunksPerWorker.Snapshot(),
-			EncodePhase:     EncodePhaseDurations.Snapshot(),
-			GatherPhase:     GatherPhaseDurations.Snapshot(),
-		},
-		Pipeline: PipelineSnapshot{
-			Starts:         PipelineStarts.Load(),
-			Depths:         PipelineDepths.Snapshot(),
-			FramesInFlight: PipelineFramesInFlight.Snapshot(),
-			ProducerStalls: PipelineProducerStalls.Snapshot(),
-			ConsumerStalls: PipelineConsumerStalls.Snapshot(),
-		},
-		Service: ServiceSnapshot{
-			RequestsCompress:         ServiceRequestsCompress.Load(),
-			RequestsDecompress:       ServiceRequestsDecompress.Load(),
-			RequestsStreamCompress:   ServiceRequestsStreamCompress.Load(),
-			RequestsStreamDecompress: ServiceRequestsStreamDecompress.Load(),
-			BytesIn:                  ServiceBytesIn.Load(),
-			BytesOut:                 ServiceBytesOut.Load(),
-			RejectedQueueFull:        ServiceRejectedQueueFull.Load(),
-			RejectedWaitTimeout:      ServiceRejectedWaitTimeout.Load(),
-			RejectedDraining:         ServiceRejectedDraining.Load(),
-			BadRequests:              ServiceBadRequests.Load(),
-			Cancelled:                ServiceCancelledRequests.Load(),
-			InFlight:                 ServiceInFlight.Load(),
-			QueueDepth:               ServiceQueueDepth.Load(),
-			QueueWaits:               ServiceQueueWaits.Snapshot(),
-			RequestDurations:         ServiceRequestDurations.Snapshot(),
-		},
-		Batch: BatchSnapshot{
-			RequestsCompress:   ServiceRequestsBatchCompress.Load(),
-			RequestsDecompress: ServiceRequestsBatchDecompress.Load(),
-			Arrays:             BatchArrays.Load(),
-			ArrayErrors:        BatchArrayErrors.Load(),
-			ArraysPerRequest:   BatchArraysPerRequest.Snapshot(),
-			ArrayBytes:         BatchArrayBytes.Snapshot(),
-			CoalescedCalls:     BatchCoalescedCalls.Load(),
-			CoalesceWaits:      BatchCoalesceWaits.Snapshot(),
-		},
-		Containers: ContainersSnapshot{
-			StreamFramesWritten:   StreamFramesWritten.Load(),
-			StreamFramesRead:      StreamFramesRead.Load(),
-			StreamFrameErrors:     StreamFrameErrors.Load(),
-			ArchiveFieldsWritten:  ArchiveFieldsWritten.Load(),
-			ArchiveFieldsRead:     ArchiveFieldsRead.Load(),
-			TimeFramesKey:         TimeFramesKey.Load(),
-			TimeFramesDelta:       TimeFramesDelta.Load(),
-			TimeKeyframeFallbacks: TimeKeyframeFallbacks.Load(),
-			RelativeBoundResolves: RelativeBoundResolves.Load(),
-		},
-		Ratio: RatioSnapshot{
-			Searches:    RatioSearches.Load(),
-			Probes:      RatioProbes.Load(),
-			Reestimates: RatioReestimates.Load(),
-			Unconverged: RatioUnconverged.Load(),
-		},
-		Cluster: ClusterSnapshot{
-			RoutedHash:        ClusterRoutedHash.Load(),
-			RoutedLeastLoaded: ClusterRoutedLeastLoaded.Load(),
-			RoutedOrdered:     ClusterRoutedOrdered.Load(),
-			RoutedFallback:    ClusterRoutedFallback.Load(),
-			HedgesFired:       ClusterHedgesFired.Load(),
-			HedgesWon:         ClusterHedgesWon.Load(),
-			Retries:           ClusterRetries.Load(),
-			HedgeBudgetDenied: ClusterHedgeBudgetDenied.Load(),
-			RetryBudgetDenied: ClusterRetryBudgetDenied.Load(),
-			PeersAlive:        ClusterPeersAlive.Load(),
-			PeersSuspect:      ClusterPeersSuspect.Load(),
-			PeersDead:         ClusterPeersDead.Load(),
-			PeerToAlive:       ClusterPeerToAlive.Load(),
-			PeerToSuspect:     ClusterPeerToSuspect.Load(),
-			PeerToDead:        ClusterPeerToDead.Load(),
-			Polls:             ClusterPolls.Load(),
-			NodeRequests:      clusterNodeSnapshot(),
-		},
+// Snap returns every series keyed by its /metrics name with labels (e.g.
+// `szx_blocks_total{type="constant"}`), plus "enabled". Counter and gauge
+// values are int64; a histogram appears once, under its family name, with
+// its count, sum and exemplar. This is the expvar "szx" value. Values are
+// loaded independently, the usual contract for scrape-style export, but
+// never across a concurrent Reset.
+func Snap() map[string]any {
+	out := map[string]any{"enabled": Enabled()}
+	for _, f := range families() {
+		for _, s := range f.series {
+			if f.typ != "histogram" {
+				out[f.name+s.labels] = s.value
+				continue
+			}
+			out[f.name] = histValue{
+				Count:      s.hist.Count,
+				Sum:        float64(s.hist.Sum) * f.scale,
+				Max:        float64(s.hist.Max) * f.scale,
+				MaxTraceID: s.hist.MaxTraceID,
+			}
+		}
 	}
-	for i := range s.Blocks.LeadCodes {
-		s.Blocks.LeadCodes[i] = LeadCodes[i].Load()
-	}
-	if s.Compress.BytesOut > 0 {
-		s.Compress.Ratio = float64(s.Compress.BytesIn) / float64(s.Compress.BytesOut)
-	}
-	if s.Decompress.BytesIn > 0 {
-		s.Decompress.Ratio = float64(s.Decompress.BytesOut) / float64(s.Decompress.BytesIn)
-	}
-	if s.Parallel.Participants > 0 {
-		s.Parallel.Utilization = float64(s.Parallel.ActiveWorkers) / float64(s.Parallel.Participants)
-	}
-	return s
+	return out
 }
 
 // Reset zeroes every metric (the enabled gate is left as-is). It must not
@@ -329,131 +69,30 @@ func Reset() {
 	resetClusterNodes()
 }
 
-// Report renders the current snapshot as a human-readable block of text,
-// the -stats output of cmd/szx and cmd/szxbench.
+// Report renders the -stats output of cmd/szx and cmd/szxbench: a build
+// header, then one line per non-zero series in /metrics order, with
+// histograms shown as count and mean (in the family's exported unit).
 func Report() string {
-	s := Snap()
 	var b strings.Builder
-	fmt.Fprintf(&b, "szx telemetry (enabled=%v)\n", s.Enabled)
-	bVer := s.Build.Version
-	if s.Build.VCSRev != "" {
-		bVer += "@" + s.Build.VCSRev
+	bi := GetBuildInfo()
+	ver := bi.Version
+	if bi.VCSRev != "" {
+		ver += "@" + bi.VCSRev
 	}
-	fmt.Fprintf(&b, "  build:      %s %s, %s, kernels %s\n",
-		s.Build.Module, bVer, s.Build.GoVersion, s.Build.Kernels)
-	fmt.Fprintf(&b, "  compress:   %d calls, %s in -> %s out (ratio %.2f), %s\n",
-		s.Compress.Calls, fmtBytes(s.Compress.BytesIn), fmtBytes(s.Compress.BytesOut),
-		s.Compress.Ratio, fmtDur(s.Compress.Durations))
-	fmt.Fprintf(&b, "  decompress: %d calls, %s in -> %s out (ratio %.2f), %s\n",
-		s.Decompress.Calls, fmtBytes(s.Decompress.BytesIn), fmtBytes(s.Decompress.BytesOut),
-		s.Decompress.Ratio, fmtDur(s.Decompress.Durations))
-	tot := s.Blocks.Constant + s.Blocks.NonConstant
-	fmt.Fprintf(&b, "  blocks:     %d encoded (%d constant, %d nonconstant, %d lossless), %d guard retries; %d decoded (%d constant)\n",
-		tot, s.Blocks.Constant, s.Blocks.NonConstant, s.Blocks.Lossless, s.Blocks.GuardRetries,
-		s.Blocks.DecodedConstant+s.Blocks.DecodedNonConstant, s.Blocks.DecodedConstant)
-	lv := s.Blocks.LeadCodes[0] + s.Blocks.LeadCodes[1] + s.Blocks.LeadCodes[2] + s.Blocks.LeadCodes[3]
-	if lv > 0 {
-		fmt.Fprintf(&b, "  lead codes: 0:%.1f%% 1:%.1f%% 2:%.1f%% 3:%.1f%% of %d values\n",
-			pct(s.Blocks.LeadCodes[0], lv), pct(s.Blocks.LeadCodes[1], lv),
-			pct(s.Blocks.LeadCodes[2], lv), pct(s.Blocks.LeadCodes[3], lv), lv)
-	}
-	if len(s.Blocks.ReqLenBits) > 0 {
-		keys := make([]int, 0, len(s.Blocks.ReqLenBits))
-		for k := range s.Blocks.ReqLenBits {
-			keys = append(keys, k)
+	fmt.Fprintf(&b, "szx telemetry (enabled=%v)\n", Enabled())
+	fmt.Fprintf(&b, "  build: %s %s, %s, kernels %s\n", bi.Module, ver, bi.GoVersion, bi.Kernels)
+	for _, f := range families() {
+		if f.name == buildInfoName {
+			continue // the header above
 		}
-		sort.Ints(keys)
-		b.WriteString("  reqlen:    ")
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %db:%d", k, s.Blocks.ReqLenBits[k])
+		for _, s := range f.series {
+			switch {
+			case f.typ == "histogram" && s.hist.Count > 0:
+				fmt.Fprintf(&b, "  %s count=%d mean=%.4g\n", f.name, s.hist.Count, s.hist.Mean*f.scale)
+			case f.typ != "histogram" && s.value != 0:
+				fmt.Fprintf(&b, "  %s%s %d\n", f.name, s.labels, s.value)
+			}
 		}
-		b.WriteByte('\n')
-	}
-	if s.Kernels.Dispatched != "" {
-		fmt.Fprintf(&b, "  kernels:    %s; invocations stats=%d encode_scan=%d decode_scan=%d\n",
-			s.Kernels.Dispatched, s.Kernels.Stats, s.Kernels.EncodeScans, s.Kernels.DecodeScans)
-	}
-	fmt.Fprintf(&b, "  engine:     compress serial=%d (fallback=%d) parallel=%d; decompress serial=%d (fallback=%d) parallel=%d\n",
-		s.Engine.CompressSerial, s.Engine.CompressFallback, s.Engine.CompressParallel,
-		s.Engine.DecompressSerial, s.Engine.DecompressFallback, s.Engine.DecompressParallel)
-	if s.Parallel.Participants > 0 {
-		fmt.Fprintf(&b, "  parallel:   chunks owned=%d stolen=%d, utilization %.0f%% (%d/%d workers), encode %s, gather %s\n",
-			s.Parallel.ChunksOwned, s.Parallel.ChunksStolen, 100*s.Parallel.Utilization,
-			s.Parallel.ActiveWorkers, s.Parallel.Participants,
-			fmtDur(s.Parallel.EncodePhase), fmtDur(s.Parallel.GatherPhase))
-	}
-	if s.Pipeline.Starts > 0 {
-		fmt.Fprintf(&b, "  pipeline:   %d started (mean depth %.1f), in-flight mean %.1f, producer stall %s, consumer stall %s\n",
-			s.Pipeline.Starts, s.Pipeline.Depths.Mean, s.Pipeline.FramesInFlight.Mean,
-			fmtDur(s.Pipeline.ProducerStalls), fmtDur(s.Pipeline.ConsumerStalls))
-	}
-	c := s.Containers
-	if c.StreamFramesWritten+c.StreamFramesRead+c.StreamFrameErrors > 0 {
-		fmt.Fprintf(&b, "  stream:     %d frames written, %d read, %d frame errors\n",
-			c.StreamFramesWritten, c.StreamFramesRead, c.StreamFrameErrors)
-	}
-	if c.ArchiveFieldsWritten+c.ArchiveFieldsRead > 0 {
-		fmt.Fprintf(&b, "  archive:    %d fields written, %d read\n", c.ArchiveFieldsWritten, c.ArchiveFieldsRead)
-	}
-	if c.TimeFramesKey+c.TimeFramesDelta > 0 {
-		fmt.Fprintf(&b, "  temporal:   %d key + %d delta frames (%d bound fallbacks)\n",
-			c.TimeFramesKey, c.TimeFramesDelta, c.TimeKeyframeFallbacks)
-	}
-	if c.RelativeBoundResolves > 0 {
-		fmt.Fprintf(&b, "  rel bounds: %d range resolves\n", c.RelativeBoundResolves)
-	}
-	if s.Ratio.Searches+s.Ratio.Reestimates > 0 {
-		fmt.Fprintf(&b, "  ratio:      %d searches (%d probes, %d unconverged), %d chunk re-estimates\n",
-			s.Ratio.Searches, s.Ratio.Probes, s.Ratio.Unconverged, s.Ratio.Reestimates)
-	}
-	sv := s.Service
-	bt := s.Batch
-	reqs := sv.RequestsCompress + sv.RequestsDecompress + sv.RequestsStreamCompress + sv.RequestsStreamDecompress +
-		bt.RequestsCompress + bt.RequestsDecompress
-	rejected := sv.RejectedQueueFull + sv.RejectedWaitTimeout + sv.RejectedDraining
-	if reqs+rejected > 0 {
-		fmt.Fprintf(&b, "  service:    %d requests (%d compress, %d decompress, %d stream, %d batch), %s in -> %s out, %d rejected (%d queue-full, %d timeout, %d draining), %d bad, %d cancelled; in-flight %d, queued %d, queue wait %s\n",
-			reqs, sv.RequestsCompress, sv.RequestsDecompress,
-			sv.RequestsStreamCompress+sv.RequestsStreamDecompress,
-			bt.RequestsCompress+bt.RequestsDecompress,
-			fmtBytes(sv.BytesIn), fmtBytes(sv.BytesOut),
-			rejected, sv.RejectedQueueFull, sv.RejectedWaitTimeout, sv.RejectedDraining,
-			sv.BadRequests, sv.Cancelled, sv.InFlight, sv.QueueDepth, fmtDur(sv.QueueWaits))
-	}
-	if bt.Arrays+bt.CoalescedCalls > 0 {
-		fmt.Fprintf(&b, "  batch:      %d arrays over %d requests (mean %.1f/request, %d array errors); %d coalesced calls, coalesce wait %s\n",
-			bt.Arrays, bt.RequestsCompress+bt.RequestsDecompress, bt.ArraysPerRequest.Mean,
-			bt.ArrayErrors, bt.CoalescedCalls, fmtDur(bt.CoalesceWaits))
-	}
-	cl := s.Cluster
-	routed := cl.RoutedHash + cl.RoutedLeastLoaded + cl.RoutedOrdered + cl.RoutedFallback
-	if routed+cl.Polls > 0 {
-		fmt.Fprintf(&b, "  cluster:    %d routed (hash=%d least-loaded=%d ordered=%d fallback=%d), hedges %d fired/%d won, %d retries (%d+%d budget-denied); peers %d alive/%d suspect/%d dead over %d polls\n",
-			routed, cl.RoutedHash, cl.RoutedLeastLoaded, cl.RoutedOrdered, cl.RoutedFallback,
-			cl.HedgesFired, cl.HedgesWon, cl.Retries, cl.HedgeBudgetDenied, cl.RetryBudgetDenied,
-			cl.PeersAlive, cl.PeersSuspect, cl.PeersDead, cl.Polls)
 	}
 	return b.String()
-}
-
-func pct(n, tot int64) float64 { return 100 * float64(n) / float64(tot) }
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
-}
-
-func fmtDur(h HistogramSnapshot) string {
-	if h.Count == 0 {
-		return "no samples"
-	}
-	return fmt.Sprintf("mean %.3f ms/call", h.Mean/1e6)
 }

@@ -7,19 +7,22 @@
 // The whole subsystem hangs off a single atomic gate: when telemetry is
 // disabled (the default), instrumented call sites pay one atomic load per
 // codec call — not per block or per value — so the disabled cost is ~1 ns
-// per Compress/Decompress and unmeasurable against multi-megabyte payloads
-// (the A/B numbers live in BENCH_OBS.json). When enabled, per-block and
+// per Compress/Decompress and unmeasurable against multi-megabyte payloads.
+// The enabled cost is perfbench's telemetry.codec_overhead_pct, from the
+// traced run (`bash perfbench/run.sh --trace 1`). When enabled, per-block and
 // per-value statistics are tallied into plain (non-atomic) thread-local
 // structs and flushed to the shared atomics once per worker per call, so
 // the enabled path stays race-free under the parallel engine without
 // putting atomics in the per-value loops.
 //
-// Export surfaces:
+// The registry in prometheus.go is the one list of exported metrics. Every
+// export surface renders from one walk over it, so a new metric is one var
+// plus one registry entry:
 //
-//   - [Snap] returns a typed snapshot of everything;
-//   - [Report] renders the snapshot as a human-readable text block;
 //   - [WritePrometheus] emits the Prometheus text exposition format;
-//   - [PublishExpvar] publishes the snapshot under the expvar key "szx";
+//   - [Snap] returns every series keyed by its /metrics name, which
+//     [PublishExpvar] publishes under the expvar key "szx";
+//   - [Report] renders the non-zero series as a text block;
 //   - [DebugHandler] serves /metrics, /debug/vars, and /debug/pprof.
 //
 // The cmd/szx and cmd/szxbench binaries expose all of this behind opt-in
@@ -93,9 +96,10 @@ const histBuckets = 64
 // observations (negative values clamp to 0). Bucketing by bit length makes
 // Observe one shift-free table index — no comparisons, no float math — at
 // the cost of coarse (2x) resolution, which is exactly the right trade for
-// latency distributions spanning nanoseconds to seconds.
+// latency distributions spanning nanoseconds to seconds. There is no
+// separate count: readers sum the buckets they load, so a read racing
+// Observe can never see a bucket ahead of the total.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 	// max and exemplar link the histogram's worst observation back to the
@@ -113,7 +117,6 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[bits.Len64(uint64(v))].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
@@ -143,7 +146,6 @@ func (h *Histogram) ObserveExemplar(v int64, traceID string) {
 }
 
 func (h *Histogram) reset() {
-	h.count.Store(0)
 	h.sum.Store(0)
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
@@ -159,9 +161,11 @@ type Bucket struct {
 	Count int64 `json:"count"`
 }
 
-// HistogramSnapshot is a point-in-time copy of a Histogram. Max and
-// MaxTraceID surface the exemplar pair recorded by ObserveExemplar: the
-// largest observation and the trace it belongs to.
+// HistogramSnapshot is a point-in-time copy of a Histogram. Count is the
+// sum of the bucket counts it carries, so the copy is self-consistent even
+// while Observe runs concurrently (Sum may lead or lag it by the racing
+// observations). Max and MaxTraceID surface the exemplar pair recorded by
+// ObserveExemplar: the largest observation and the trace it belongs to.
 type HistogramSnapshot struct {
 	Count      int64    `json:"count"`
 	Sum        int64    `json:"sum"`
@@ -173,12 +177,9 @@ type HistogramSnapshot struct {
 
 // Snapshot copies the histogram. Only non-empty buckets are materialized.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
+	s := HistogramSnapshot{Sum: h.sum.Load(), Max: h.max.Load()}
 	if id, ok := h.exemplar.Load().(string); ok {
 		s.MaxTraceID = id
-	}
-	if s.Count > 0 {
-		s.Mean = float64(s.Sum) / float64(s.Count)
 	}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n != 0 {
@@ -187,7 +188,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 				le = 0
 			}
 			s.Buckets = append(s.Buckets, Bucket{Le: le, Count: n})
+			s.Count += n
 		}
+	}
+	if s.Count > 0 {
+		s.Mean = float64(s.Sum) / float64(s.Count)
 	}
 	return s
 }

@@ -115,12 +115,13 @@ func TestSnapshotRatios(t *testing.T) {
 	Reset()
 	RecordCompress(1000, 250, 1e6)
 	RecordDecompress(250, 1000, 5e5)
-	s := Snap()
-	if s.Compress.Ratio != 4 || s.Decompress.Ratio != 4 {
-		t.Fatalf("ratios = %v / %v, want 4 / 4", s.Compress.Ratio, s.Decompress.Ratio)
+	cRatio := float64(CompressBytesIn.Load()) / float64(CompressBytesOut.Load())
+	dRatio := float64(DecompressBytesOut.Load()) / float64(DecompressBytesIn.Load())
+	if cRatio != 4 || dRatio != 4 {
+		t.Fatalf("ratios = %v / %v, want 4 / 4", cRatio, dRatio)
 	}
-	if s.Compress.Durations.Count != 1 || s.Compress.Durations.Mean != 1e6 {
-		t.Fatalf("durations = %+v", s.Compress.Durations)
+	if d := CompressDurations.Snapshot(); d.Count != 1 || d.Mean != 1e6 {
+		t.Fatalf("durations = %+v", d)
 	}
 	Reset()
 }
@@ -340,9 +341,10 @@ func TestKernelDispatchAndInvocations(t *testing.T) {
 			t.Fatalf("exposition missing %q", want)
 		}
 	}
-	if snap := Snap(); snap.Kernels.Stats != 10 || snap.Kernels.DecodeScans != 5 ||
-		snap.Kernels.Dispatched != "generic (SZX_KERNELS=generic)" {
-		t.Fatalf("snapshot kernels wrong: %+v", snap.Kernels)
+	if KernelStatsCalls.Load() != 10 || KernelDecodeScanCalls.Load() != 5 ||
+		KernelDispatchDetail() != "generic (SZX_KERNELS=generic)" {
+		t.Fatalf("kernels wrong: stats=%d decode_scan=%d dispatched=%q",
+			KernelStatsCalls.Load(), KernelDecodeScanCalls.Load(), KernelDispatchDetail())
 	}
 
 	// Reset clears the invocation counters but re-asserts the dispatch

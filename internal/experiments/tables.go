@@ -62,46 +62,63 @@ func Table3(cfg Config) (Report, error) {
 	return rep, nil
 }
 
-// throughputRow measures one codec's aggregate throughput over an app's
-// fields (MB/s), compressing (dir=true) or decompressing.
-func (cfg Config) throughput(app datagen.App, rel float64, c codec, decompress bool) (float64, error) {
+// throughputs measures each codec's aggregate throughput over an app's
+// fields (MB/s), compressing or decompressing. The codecs are timed in
+// interleaved rounds — every codec once per round on each field, in turn —
+// and each keeps its best round per field, so a burst of load on the host
+// lands on all codecs alike instead of on whichever one happened to run
+// through it, and the ratios between codecs stay put.
+func (cfg Config) throughputs(app datagen.App, rel float64, codecs []codec, decompress bool) ([]float64, error) {
+	rounds := 3
+	if cfg.Quick {
+		rounds = 5 // one call per timing: more rounds to find a quiet one
+	}
+	secs := make([]float64, len(codecs))
+	best := make([]float64, len(codecs))
+	runs := make([]func() error, len(codecs))
 	var totalBytes float64
-	var totalSec float64
 	for _, f := range app.Fields {
 		abs := relToAbs(f.Data, rel)
-		comp, err := c.compress(f.Data, f.Dims, abs)
-		if err != nil {
-			return 0, err
+		for i, c := range codecs {
+			comp, err := c.compress(f.Data, f.Dims, abs)
+			if err != nil {
+				return nil, err
+			}
+			if decompress {
+				if _, err := c.decompress(comp, len(f.Data)); err != nil {
+					return nil, err
+				}
+				runs[i] = func() error { _, err := c.decompress(comp, len(f.Data)); return err }
+			} else {
+				runs[i] = func() error { _, err := c.compress(f.Data, f.Dims, abs); return err }
+			}
 		}
-		if decompress {
-			if _, err := c.decompress(comp, len(f.Data)); err != nil {
-				return 0, err
-			}
-			sec := cfg.measure(func() {
-				_, derr := c.decompress(comp, len(f.Data))
-				if derr != nil {
-					err = derr
+		for r := 0; r < rounds; r++ {
+			for i, run := range runs {
+				var err error
+				sec := cfg.measure(func() {
+					if e := run(); e != nil {
+						err = e
+					}
+				})
+				if err != nil {
+					return nil, err
 				}
-			})
-			if err != nil {
-				return 0, err
-			}
-			totalSec += sec
-		} else {
-			sec := cfg.measure(func() {
-				_, cerr := c.compress(f.Data, f.Dims, abs)
-				if cerr != nil {
-					err = cerr
+				if r == 0 || sec < best[i] {
+					best[i] = sec
 				}
-			})
-			if err != nil {
-				return 0, err
 			}
-			totalSec += sec
+		}
+		for i := range secs {
+			secs[i] += best[i]
 		}
 		totalBytes += float64(4 * len(f.Data))
 	}
-	return totalBytes / totalSec / 1e6, nil
+	mbps := make([]float64, len(codecs))
+	for i := range mbps {
+		mbps[i] = totalBytes / secs[i] / 1e6
+	}
+	return mbps, nil
 }
 
 func speedTable(cfg Config, id, title string, decompress bool, codecs []codec) (Report, error) {
@@ -116,15 +133,23 @@ func speedTable(cfg Config, id, title string, decompress bool, codecs []codec) (
 	for _, app := range apps {
 		rep.Header = append(rep.Header, app.Short)
 	}
-	for _, c := range codecs {
-		for _, rel := range cfg.rels() {
-			row := []string{c.name, fmt.Sprintf("%.0e", rel)}
-			for _, app := range apps {
-				mbps, err := cfg.throughput(app, rel, c, decompress)
-				if err != nil {
-					return Report{}, err
-				}
-				row = append(row, fmt.Sprintf("%.0f", mbps))
+	rels := cfg.rels()
+	// mbps[r][a][c] is codec c's throughput at rels[r] on apps[a].
+	mbps := make([][][]float64, len(rels))
+	for r, rel := range rels {
+		for _, app := range apps {
+			m, err := cfg.throughputs(app, rel, codecs, decompress)
+			if err != nil {
+				return Report{}, err
+			}
+			mbps[r] = append(mbps[r], m)
+		}
+	}
+	for c, cd := range codecs {
+		for r, rel := range rels {
+			row := []string{cd.name, fmt.Sprintf("%.0e", rel)}
+			for _, m := range mbps[r] {
+				row = append(row, fmt.Sprintf("%.0f", m[c]))
 			}
 			rep.Rows = append(rep.Rows, row)
 		}

@@ -126,13 +126,14 @@ func (p Plan) coreOpts() core.Options {
 // Codec do this internally — ResolvePlan is for callers that want the
 // resolved bound or the search trace up front.
 func ResolvePlan[T Float](data []T, opt Options) (Plan, error) {
-	return resolvePlan(data, opt, nil)
+	return resolvePlan(data, opt, nil, opt.workers())
 }
 
 // resolvePlan is ResolvePlan against an optional caller-owned probe
 // scratch (nil = package pool), letting a warm Codec keep the whole search
-// allocation-free deterministically.
-func resolvePlan[T Float](data []T, opt Options, rs *ratioScratch) (Plan, error) {
+// allocation-free deterministically. scanWorkers is the worker count the
+// value-range scan may use: the one the caller will encode with.
+func resolvePlan[T Float](data []T, opt Options, rs *ratioScratch, scanWorkers int) (Plan, error) {
 	if err := opt.validate(); err != nil {
 		return Plan{}, err
 	}
@@ -144,11 +145,11 @@ func resolvePlan[T Float](data []T, opt Options, rs *ratioScratch) (Plan, error)
 	}
 	switch {
 	case opt.TargetRatio > 0:
-		if err := resolveRatio(&p, data, opt, rs); err != nil {
+		if err := resolveRatio(&p, data, opt, rs, scanWorkers); err != nil {
 			return Plan{}, err
 		}
 	case opt.Mode == BoundRelative:
-		b, err := relativeBound(data, opt)
+		b, err := relativeBound(data, opt, scanWorkers)
 		if err != nil {
 			return Plan{}, err
 		}
@@ -160,7 +161,10 @@ func resolvePlan[T Float](data []T, opt Options, rs *ratioScratch) (Plan, error)
 // relativeBound converts a value-range-relative bound into the absolute
 // bound embedded in the stream. (The range is accumulated in float64 for
 // both element types; for float64 inputs the conversions are identities.)
-func relativeBound[T Float](data []T, o Options) (float64, error) {
+// The range scan runs on the block-stats kernel across up to workers
+// goroutines (core.ValueRange); its result is bit-identical to a
+// sequential compare fold.
+func relativeBound[T Float](data []T, o Options, workers int) (float64, error) {
 	if !(o.ErrorBound > 0) {
 		return 0, ErrErrBound
 	}
@@ -170,25 +174,12 @@ func relativeBound[T Float](data []T, o Options) (float64, error) {
 	if telemetry.Enabled() {
 		telemetry.RelativeBoundResolves.Inc()
 	}
-	mn, mx := minMax(data)
+	mn, mx := core.ValueRange(data, workers)
 	r := float64(mx) - float64(mn)
 	if !(r > 0) || math.IsInf(r, 0) {
 		return 0, ErrDegenerateRange
 	}
 	return o.ErrorBound * r, nil
-}
-
-func minMax[T Float](data []T) (mn, mx T) {
-	mn, mx = data[0], data[0]
-	for _, v := range data[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mn, mx
 }
 
 // --- fixed-ratio search ----------------------------------------------------
@@ -230,8 +221,8 @@ func getRatioScratch() *ratioScratch   { return ratioPool.Get().(*ratioScratch) 
 func putRatioScratch(rs *ratioScratch) { ratioPool.Put(rs) }
 
 // resolveRatio fills p.Bound (and the search trace) for a TargetRatio
-// request.
-func resolveRatio[T Float](p *Plan, data []T, opt Options, rs *ratioScratch) error {
+// request, scanning the value range across up to workers goroutines.
+func resolveRatio[T Float](p *Plan, data []T, opt Options, rs *ratioScratch, workers int) error {
 	p.TargetRatio = opt.TargetRatio
 	bs := opt.BlockSize
 	if bs == 0 {
@@ -251,7 +242,7 @@ func resolveRatio[T Float](p *Plan, data []T, opt Options, rs *ratioScratch) err
 	if telemetry.Enabled() {
 		telemetry.RatioSearches.Inc()
 	}
-	mn, mx := minMax(data)
+	mn, mx := core.ValueRange(data, workers)
 	rangeV := float64(mx) - float64(mn)
 	if !(rangeV > 0) || math.IsInf(rangeV, 0) {
 		// Constant (or NaN/Inf-polluted) data: every bound yields the same
@@ -517,7 +508,7 @@ func ratioChunkBound(opt Options, seed float64, chunk []float32) (float64, error
 	if telemetry.Enabled() {
 		telemetry.RatioReestimates.Inc()
 	}
-	mn, mx := minMax(chunk)
+	mn, mx := core.ValueRange(chunk, opt.workers())
 	rangeV := float64(mx) - float64(mn)
 	if !(rangeV > 0) || math.IsInf(rangeV, 0) {
 		// Flat chunk: constant blocks at any bound; the seed stays honest.

@@ -20,8 +20,9 @@ type scratch struct {
 	f64   []float64
 	c32   *szx.Codec[float32]
 	c64   *szx.Codec[float64]
-	class int // pool index this scratch was drawn from
-	hint  int // declared body size for this lease (0 = unknown)
+	class int     // pool index this scratch was drawn from
+	hint  int     // declared body size for this lease (0 = unknown)
+	probe [1]byte // EOF probe once raw is full, so a full body never grows it
 }
 
 // Scratch buffers are size-classed so small requests never pay big-request
@@ -108,8 +109,11 @@ func (sc *scratch) footprint() int {
 // the body-size cap. It is io.ReadAll minus the fresh allocation per call:
 // the buffer is seeded at the scratch's class size (or the declared
 // Content-Length when that is larger), then grows by doubling only if the
-// body outruns its declaration. Returns errBodyTooLarge once the read
-// crosses max.
+// body outruns it. A full buffer is not grown on spec: a one-byte probe
+// into sc.probe confirms EOF first, so a body of exactly a class size (or
+// of exactly its declared overflow length) is read with no copy and the
+// scratch returns to the class it came from. Returns errBodyTooLarge once
+// the read crosses max.
 func (sc *scratch) readBody(r io.Reader, max int64) ([]byte, error) {
 	buf := sc.raw[:0]
 	if seed := sc.seedSize(max); cap(buf) < seed {
@@ -120,11 +124,14 @@ func (sc *scratch) readBody(r io.Reader, max int64) ([]byte, error) {
 			sc.raw = buf
 			return nil, errBodyTooLarge
 		}
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+		var n int
+		var err error
+		if len(buf) < cap(buf) {
+			n, err = r.Read(buf[len(buf):cap(buf)])
+			buf = buf[:len(buf)+n]
+		} else if n, err = r.Read(sc.probe[:]); n > 0 {
+			buf = append(buf, sc.probe[0])
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
 		if err == io.EOF {
 			sc.raw = buf
 			if int64(len(buf)) > max {

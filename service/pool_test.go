@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"io"
 	"testing"
+	"testing/iotest"
 
 	szx "repro"
 )
@@ -120,5 +122,76 @@ func TestSmallBodyZeroAllocs(t *testing.T) {
 	}
 	if cap(sc.raw) > scratchClassSizes[classForSize(int64(len(raw)))] {
 		t.Fatalf("16 KiB requests grew the body buffer to %d bytes", cap(sc.raw))
+	}
+}
+
+// TestExactClassBodyStaysInClass: a body of exactly a class size fills the
+// class-sized buffer to capacity. Reading it must confirm EOF without
+// growing the buffer — growing copies the whole body and re-classes the
+// scratch into the next pool up on release, so the next request of that
+// size finds its own class empty.
+func TestExactClassBodyStaysInClass(t *testing.T) {
+	for _, size := range scratchClassSizes {
+		body := bytes.Repeat([]byte{0xA5}, size)
+		rd := bytes.NewReader(body)
+		sc := getScratch(int64(size))
+		drawn := sc.class
+		read := func() {
+			rd.Reset(body)
+			got, err := sc.readBody(rd, 1<<30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != size {
+				t.Fatalf("%d-byte body read as %d bytes", size, len(got))
+			}
+		}
+		read()
+		if cap(sc.raw) != scratchClassSizes[drawn] {
+			t.Fatalf("%d-byte body grew the %d-byte class buffer to %d", size, scratchClassSizes[drawn], cap(sc.raw))
+		}
+		if n := testing.AllocsPerRun(10, read); n != 0 {
+			t.Fatalf("%d-byte body: %v allocs per request, want 0", size, n)
+		}
+		putScratch(sc)
+		if sc.class != drawn {
+			t.Fatalf("%d-byte body: scratch drawn from class %d released into class %d", size, drawn, sc.class)
+		}
+	}
+}
+
+// TestReadBodyEdges pins the body reader's limits around a full buffer: a
+// body that outruns its declared length is read whole, a body of exactly
+// max bytes is accepted, and one byte more fails with errBodyTooLarge —
+// for readers that deliver EOF with the last bytes, after them, or one
+// byte at a time.
+func TestReadBodyEdges(t *testing.T) {
+	const size = 4 << 10
+	readers := map[string]func([]byte) io.Reader{
+		"plain":     func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"data-eof":  func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) },
+		"one-byte":  func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+		"half-read": func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+	}
+	for name, mk := range readers {
+		body := make([]byte, size+1)
+		for i := range body {
+			body[i] = byte(i)
+		}
+		sc := getScratch(size) // declares one byte less than it sends
+		got, err := sc.readBody(mk(body), 1<<30)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%s: body outrunning its declaration read as %d bytes, %v", name, len(got), err)
+		}
+		putScratch(sc)
+
+		sc = getScratch(size)
+		if got, err := sc.readBody(mk(body[:size]), size); err != nil || len(got) != size {
+			t.Fatalf("%s: body of exactly max bytes: %d bytes, %v", name, len(got), err)
+		}
+		if _, err := sc.readBody(mk(body), size); err != errBodyTooLarge {
+			t.Fatalf("%s: body of max+1 bytes: %v, want errBodyTooLarge", name, err)
+		}
+		putScratch(sc)
 	}
 }

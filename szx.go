@@ -181,7 +181,7 @@ func compressInto[T Float](dst []byte, data []T, opt Options, rs *ratioScratch) 
 	if opt.Spans != nil {
 		t0 = time.Now()
 	}
-	p, err := resolvePlan(data, opt, rs)
+	p, err := resolvePlan(data, opt, rs, opt.workers())
 	if err != nil {
 		return nil, err
 	}
@@ -228,12 +228,12 @@ func DecompressInto[T Float](dst []T, comp []byte) ([]T, error) {
 // CompressParallelInto is CompressInto with an explicit worker count
 // (overriding opt.Workers; WorkersAuto selects GOMAXPROCS).
 func CompressParallelInto[T Float](dst []byte, data []T, opt Options, workers int) ([]byte, error) {
-	p, err := ResolvePlan(data, opt)
+	// The range scan of a relative or fixed-ratio bound uses the workers
+	// the encode will, not opt.Workers.
+	workers = core.Workers(workers)
+	p, err := resolvePlan(data, opt, nil, workers)
 	if err != nil {
 		return nil, err
-	}
-	if workers == WorkersAuto {
-		workers = core.Workers(0)
 	}
 	return core.CompressParallelInto(dst, data, p.Bound, p.coreOpts(), workers)
 }
